@@ -121,24 +121,14 @@ func benchSearch(b *testing.B, opt placement.Options) {
 	}
 }
 
-func BenchmarkPlacementSearchMachineB(b *testing.B) { benchSearch(b, placement.Options{}) }
-
-// Serial vs streaming pins the pipeline speedup claimed in EXPERIMENTS.md;
-// the cached variant measures a fully warm score cache.
-func BenchmarkPlacementSearchSerial(b *testing.B) {
-	benchSearch(b, placement.Options{Serial: true})
+// One scoring worker against the default GOMAXPROCS workers: the pair the
+// EXPERIMENTS.md planner-timing table reports. The cached variant measures
+// a fully warm score cache.
+func BenchmarkPlacementSearchParallelism1(b *testing.B) {
+	benchSearch(b, placement.Options{Parallelism: 1})
 }
 
-func BenchmarkPlacementSearchStreaming(b *testing.B) {
-	benchSearch(b, placement.Options{})
-}
-
-// Inline disables the shared probe pool: the scoring workers build and
-// bisect in place, the pre-pool reference the pooled path is diffed
-// against.
-func BenchmarkPlacementSearchInline(b *testing.B) {
-	benchSearch(b, placement.Options{NoProbePool: true})
-}
+func BenchmarkPlacementSearchDefault(b *testing.B) { benchSearch(b, placement.Options{}) }
 
 func BenchmarkPlacementSearchCached(b *testing.B) {
 	cache := scorecache.NewScores(1 << 16)

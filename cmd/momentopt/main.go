@@ -75,7 +75,7 @@ func main() {
 	if *explain {
 		ex = moment.NewExplain()
 		opts.Explain = ex
-		opts.Serial = true // parallel search interleaves; the trail must not
+		opts.Parallelism = 1 // one scoring worker keeps the trail's order fixed
 	}
 	plan, err := moment.OptimizeWith(m, moment.Workload{Dataset: ds, Model: kind}, opts)
 	if err != nil {

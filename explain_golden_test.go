@@ -22,7 +22,7 @@ func TestExplainGolden(t *testing.T) {
 		t.Helper()
 		ex := NewExplain()
 		_, err := OptimizeWith(MachineB(), Workload{Dataset: MustDataset("PA"), Model: GraphSAGE},
-			SearchOptions{Serial: true, Explain: ex})
+			SearchOptions{Parallelism: 1, Explain: ex})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,8 @@ import (
 // fields.
 
 // FleetSweepRecord plans a fleet of nodes twice — every node searched cold
-// and serially (the baseline), then the whole fleet through one shared
-// score cache with the pooled streaming pipeline — and records both
+// with one scoring worker (the baseline), then the whole fleet through one
+// shared score cache at the default parallelism — and records both
 // wall-clocks. The fleet alternates machines A and B, so from the third
 // node on every search is a repeat configuration and the shared cache
 // serves it wholesale; the two passes must agree on every node's best
@@ -54,11 +54,11 @@ func FleetSweepRecord(nodes int) (BenchRecord, error) {
 		demands[m.Name] = dem
 	}
 
-	// Baseline: per-node cold serial search, no memoization anywhere.
+	// Baseline: per-node cold single-worker search, no memoization anywhere.
 	baseTimes := make([]float64, nodes)
 	t0 := time.Now()
 	for i, m := range fleet {
-		res, err := placement.Search(m, demands[m.Name], placement.Options{Serial: true})
+		res, err := placement.Search(m, demands[m.Name], placement.Options{Parallelism: 1})
 		if err != nil {
 			return BenchRecord{}, fmt.Errorf("experiments: fleet baseline node %d: %w", i, err)
 		}
@@ -66,8 +66,8 @@ func FleetSweepRecord(nodes int) (BenchRecord, error) {
 	}
 	baselineMS := float64(time.Since(t0)) / float64(time.Millisecond)
 
-	// Optimized: the same fleet through one shared score cache and the
-	// pooled streaming pipeline.
+	// Optimized: the same fleet through one shared score cache at the
+	// default parallelism.
 	cache := scorecache.NewScores(1 << 16)
 	hits := 0
 	mean := 0.0

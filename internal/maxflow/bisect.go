@@ -158,30 +158,6 @@ func (b *TimeBisector) Reinit(g *Graph, s, t int, demand float64) {
 	b.warmOK = false
 }
 
-// CloneOnto copies the bisector — registered schedule, demand, solver,
-// options, and warm-start state — onto dst, rebinding it to graph g, and
-// returns dst. g must hold a copy of the receiver's graph state (typically
-// via Graph.CloneInto onto a worker arena): the warm bookkeeping travels
-// with the cloned flow and is rebased onto g's generation, so a warm
-// receiver yields a warm clone. Work counters reset — the clone reports
-// only its own solves. Slice capacity in dst is reused, so cloning onto a
-// recycled arena pair allocates nothing.
-func (b *TimeBisector) CloneOnto(dst *TimeBisector, g *Graph) *TimeBisector {
-	dst.G, dst.S, dst.T, dst.Demand = g, b.S, b.T, b.Demand
-	dst.Solver = b.Solver
-	dst.DisableWarmStart = b.DisableWarmStart
-	dst.Ctx = b.Ctx
-	dst.rateEdges = append(dst.rateEdges[:0], b.rateEdges...)
-	dst.rates = append(dst.rates[:0], b.rates...)
-	dst.fixedEdges = append(dst.fixedEdges[:0], b.fixedEdges...)
-	dst.fixed = append(dst.fixed[:0], b.fixed...)
-	dst.Probes, dst.Iterations = 0, 0
-	dst.WarmStarts, dst.WarmAborts = 0, 0
-	dst.warmT, dst.warmFlow, dst.warmOK = b.warmT, b.warmFlow, b.warmOK
-	dst.warmGen = g.gen
-	return dst
-}
-
 // InvalidateWarm discards the warm-start state, forcing the next probe to
 // re-apply capacities and solve cold. Direct graph mutations (bypassing the
 // bisector) are also self-detected via the graph's generation counter, so

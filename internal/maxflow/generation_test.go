@@ -72,19 +72,10 @@ func TestGenerationSemantics(t *testing.T) {
 	step("Reset", true, func() { g.Reset() })
 	step("Clear", true, func() { g.Clear() })
 
-	// Clone carries the source's generation; CloneInto advances the
-	// destination's own counter instead of adopting the source's, so
-	// anything keyed to the arena's previous contents cannot match.
+	// Clone carries the source's generation.
 	src := New(2)
 	src.AddEdge(0, 1, 3)
 	if c := src.Clone(); c.Generation() != src.Generation() {
 		t.Fatalf("Clone generation %d != source %d", c.Generation(), src.Generation())
-	}
-	arena := New(2)
-	arena.AddEdge(0, 1, 1)
-	before := arena.Generation()
-	src.CloneInto(arena)
-	if arena.Generation() == before {
-		t.Fatal("CloneInto must advance the destination's generation")
 	}
 }

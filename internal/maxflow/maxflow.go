@@ -39,10 +39,9 @@ type Graph struct {
 	stats SolveStats
 	// gen is bumped by every operation that changes capacities, flow, or
 	// structure. Consumers that cache conclusions about the graph's state
-	// (the TimeBisector's warm flow, cloned-arena bookkeeping) record the
-	// generation they observed and treat a mismatch as "the graph moved
-	// underneath me". Clone copies it; CloneInto advances the destination's
-	// own counter so state keyed to the old contents can never match.
+	// (the TimeBisector's warm flow) record the generation they observed
+	// and treat a mismatch as "the graph moved underneath me". Clone
+	// copies it.
 	gen uint64
 }
 
@@ -223,7 +222,7 @@ func (g *Graph) Reset() {
 }
 
 // Clear empties the graph — zero nodes, zero edges — while retaining every
-// backing array, the arena half of the Clear+CloneInto reuse API: a
+// backing array, the arena half of the graph reuse API: a
 // subsequent rebuild of a similarly sized network through AddNode/AddEdge
 // allocates nothing. Solver work counters survive (they are cumulative per
 // arena, and callers meter them by before/after deltas).
@@ -256,41 +255,6 @@ func (g *Graph) Clone() *Graph {
 		c.head[v] = append([]EdgeID(nil), g.head[v]...)
 	}
 	return c
-}
-
-// CloneInto deep-copies g — structure, capacities, current flow, labels,
-// and work counters, exactly like Clone — into dst, reusing dst's backing
-// arrays where their capacity allows. Cloning into the same arena
-// repeatedly allocates nothing once the arrays have grown to size.
-// Returns dst. Cloning a graph into itself is a no-op.
-func (g *Graph) CloneInto(dst *Graph) *Graph {
-	if dst == g {
-		return dst
-	}
-	dst.n = g.n
-	dst.to = append(dst.to[:0], g.to...)
-	dst.cap = append(dst.cap[:0], g.cap...)
-	dst.resid = append(dst.resid[:0], g.resid...)
-	dst.label = append(dst.label[:0], g.label...)
-	dst.stats = g.stats
-	// The destination's previous contents are gone: advance its own
-	// generation (rather than adopting the source's) so any state keyed to
-	// what the arena held before the clone is invalidated.
-	dst.gen++
-	// Adjacency: resize the outer slice preserving retained buckets, then
-	// overwrite each bucket in place.
-	for len(dst.head) < g.n {
-		if n := len(dst.head); n < cap(dst.head) {
-			dst.head = dst.head[:n+1]
-		} else {
-			dst.head = append(dst.head, nil)
-		}
-	}
-	dst.head = dst.head[:g.n]
-	for v := 0; v < g.n; v++ {
-		dst.head[v] = append(dst.head[v][:0], g.head[v]...)
-	}
-	return dst
 }
 
 // Solver selects the augmenting algorithm.

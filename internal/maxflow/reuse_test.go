@@ -115,71 +115,6 @@ func TestClearRebuildMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestCloneIntoMatchesClone verifies CloneInto against Clone on solved and
-// unsolved graphs, including repeated clones into the same destination
-// (sized both under and over the source).
-func TestCloneIntoMatchesClone(t *testing.T) {
-	dst := New(0)
-	for _, seed := range []int64{1, 50, 2, 80, 3} { // alternating sizes
-		src := New(0)
-		s, tt, _ := buildInto(src, seed)
-		if seed%2 == 1 {
-			src.MaxFlow(s, tt, Dinic)
-		}
-		want := src.Clone()
-		got := src.CloneInto(dst)
-		if got != dst {
-			t.Fatal("CloneInto did not return dst")
-		}
-		sameGraph(t, dst, want)
-		if dst.Stats() != src.Stats() {
-			t.Fatal("CloneInto dropped work counters")
-		}
-		// The clone must be independent: solving it must not disturb src.
-		before := src.Clone()
-		dst.MaxFlow(s, tt, EdmondsKarp)
-		sameGraph(t, src, before)
-	}
-	// Self-clone is a no-op.
-	g := New(0)
-	s, tt, _ := buildInto(g, 9)
-	g.MaxFlow(s, tt, Dinic)
-	want := g.Clone()
-	if g.CloneInto(g) != g {
-		t.Fatal("self CloneInto did not return receiver")
-	}
-	sameGraph(t, g, want)
-}
-
-// TestCloneIntoThenMutate ensures a cloned-into graph supports the full
-// mutation surface (AddNode/AddEdge after clone) without corrupting state
-// inherited from the source.
-func TestCloneIntoThenMutate(t *testing.T) {
-	src := New(0)
-	s, tt, _ := buildInto(src, 13)
-	dst := New(0)
-	buildInto(dst, 70) // dirty destination
-	src.CloneInto(dst)
-	v := dst.AddNode("extra")
-	e := dst.AddEdge(s, v, 5)
-	dst.AddEdge(v, tt, 5)
-	if dst.N() != src.N()+1 || dst.M() != src.M()+2 {
-		t.Fatalf("post-clone mutation shape: %d/%d", dst.N(), dst.M())
-	}
-	if dst.Label(v) != "extra" {
-		t.Fatalf("new node label %q", dst.Label(v))
-	}
-	fresh := src.Clone()
-	fv := fresh.AddNode("extra")
-	fresh.AddEdge(s, fv, 5)
-	fresh.AddEdge(fv, tt, 5)
-	fa, ff := dst.MaxFlow(s, tt, Dinic), fresh.MaxFlow(s, tt, Dinic)
-	if math.Abs(fa-ff) > Eps {
-		t.Fatalf("mutated clone max flow %v, fresh %v", fa, ff)
-	}
-	_ = e
-}
-
 // TestArenaRebuildAllocs is the AllocsPerRun bound from the satellite: once
 // the arena's arrays have grown to size, a Clear+rebuild (plus capacity
 // re-application, the per-probe bisection pattern) performs zero
@@ -214,14 +149,5 @@ func TestArenaRebuildAllocs(t *testing.T) {
 	rebuild() // grow the arrays once
 	if avg := testing.AllocsPerRun(200, rebuild); avg != 0 {
 		t.Errorf("arena rebuild allocates %.1f times per run, want 0", avg)
-	}
-
-	// CloneInto into a warmed destination is likewise allocation-free.
-	src := New(0)
-	buildInto(src, 21)
-	dst := New(0)
-	src.CloneInto(dst)
-	if avg := testing.AllocsPerRun(200, func() { src.CloneInto(dst) }); avg != 0 {
-		t.Errorf("warm CloneInto allocates %.1f times per run, want 0", avg)
 	}
 }

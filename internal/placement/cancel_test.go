@@ -37,13 +37,16 @@ func TestSearchCanceledBeforeStart(t *testing.T) {
 }
 
 // TestSearchCancelMidStream cancels the context from inside a candidate
-// evaluation: the streaming pipeline must abort promptly, return the
-// context's error, leak no stage goroutines, and leave nothing poisoned in
-// a shared score cache (a later uncanceled search over the same cache must
-// match a cache-free reference exactly).
+// evaluation, with one scoring worker and with two: the search must abort
+// promptly, return the context's error, leak no worker goroutines, and
+// leave nothing poisoned in a shared score cache (a later uncanceled search
+// over the same cache must match a cache-free reference exactly).
 func TestSearchCancelMidStream(t *testing.T) {
-	for _, mode := range []string{"stream", "serial"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+	}{{"serial", 1}, {"parallel", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
 			m := topology.MachineB()
 			d := demand(4)
 			ctx, cancel := context.WithCancel(context.Background())
@@ -59,9 +62,9 @@ func TestSearchCancelMidStream(t *testing.T) {
 			cache := scorecache.NewScores(256)
 			before := runtime.NumGoroutine()
 			_, err := Search(m, d, Options{
-				Ctx:    ctx,
-				Cache:  cache,
-				Serial: mode == "serial",
+				Ctx:         ctx,
+				Cache:       cache,
+				Parallelism: tc.parallelism,
 			})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"moment/internal/flownet"
-	"moment/internal/maxflow"
 	"moment/internal/obs"
 	"moment/internal/scorecache"
 	"moment/internal/topology"
@@ -46,7 +45,7 @@ func Enumerate(m *topology.Machine) ([]*topology.Placement, error) {
 	}
 	gpuDists := compositions(m.NumGPUs, gpuCaps)
 	ssdDists := compositions(m.NumSSDs, ssdCaps)
-	var out []*topology.Placement
+	out := make([]*topology.Placement, 0, len(gpuDists)*len(ssdDists))
 	for _, gd := range gpuDists {
 		for _, sd := range ssdDists {
 			p := &topology.Placement{}
@@ -133,20 +132,40 @@ func CanonicalKey(m *topology.Machine, p *topology.Placement) (string, error) {
 // representative of each canonical class (the isomorphic graph reduction
 // of §3.2).
 func Dedupe(m *topology.Machine, ps []*topology.Placement) ([]*topology.Placement, error) {
-	seen := make(map[string]bool, len(ps))
-	var out []*topology.Placement
-	for _, p := range ps {
-		key, err := CanonicalKey(m, p)
-		if err != nil {
-			return nil, err
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, p)
+	kept, _, err := dedupe(m, ps, false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*topology.Placement, len(kept))
+	for i, c := range kept {
+		out[i] = c.p
 	}
 	return out, nil
+}
+
+// dedupe is the canonicalize-and-dedupe loop shared by Dedupe and Search.
+// It keys every placement in order and, unless keepAll, drops each one
+// whose canonical class an earlier placement already holds. Survivors carry
+// their index in ps and their canonical key (the score-cache key suffix);
+// pruned lists the indices of the dropped placements.
+func dedupe(m *topology.Machine, ps []*topology.Placement, keepAll bool) (kept []cand, pruned []int, err error) {
+	seen := make(map[string]struct{}, len(ps))
+	kept = make([]cand, 0, len(ps))
+	for i, p := range ps {
+		key, err := CanonicalKey(m, p)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !keepAll {
+			if _, dup := seen[key]; dup {
+				pruned = append(pruned, i)
+				continue
+			}
+			seen[key] = struct{}{}
+		}
+		kept = append(kept, cand{seq: i, p: p, key: key})
+	}
+	return kept, pruned, nil
 }
 
 // Options tunes the placement search.
@@ -154,18 +173,13 @@ type Options struct {
 	// Tolerance is the relative bisection tolerance (default 1e-4).
 	Tolerance float64
 	// Parallelism bounds concurrent candidate evaluations
-	// (default GOMAXPROCS).
+	// (default GOMAXPROCS). With 1 every candidate is scored in the
+	// caller's goroutine; results are identical at every setting.
 	Parallelism int
 	// SkipDedupe disables isomorphic reduction (ablation).
 	SkipDedupe bool
 	// KeepScores records every candidate's predicted time in the result.
 	KeepScores bool
-	// Serial runs the single-goroutine reference pipeline instead of the
-	// streaming one: enumerate, dedupe, and score sequentially in
-	// enumeration order. It produces identical results and counters — the
-	// differential baseline the streaming path is tested (and benchmarked)
-	// against.
-	Serial bool
 	// Cache, when non-nil, memoizes candidate scores across searches,
 	// local searches, and fault-triggered replans. Keys combine the
 	// canonical placement class with machine-rate and demand fingerprints,
@@ -177,13 +191,6 @@ type Options struct {
 	// share memoized scores: leave it empty only when scores are
 	// schedule-independent (the healthy-machine planner).
 	FaultsKey string
-	// NoProbePool makes the streaming pipeline solve bisections inline in
-	// its scoring workers instead of submitting them to the shared
-	// maxflow.ProbePool — the pre-pool behavior, kept as the differential
-	// reference (and escape hatch). Serial mode never uses the pool. The
-	// pool is also bypassed while flownet self-checks are installed, since
-	// those audit the solved flow on the network itself.
-	NoProbePool bool
 	// Observer receives spans and metrics for the search (nil falls back
 	// to the process default observer; both nil = no instrumentation).
 	Observer *obs.Observer
@@ -191,11 +198,11 @@ type Options struct {
 	// candidates pruned (with reasons), score-cache hits, per-candidate
 	// bisection work, and run-level summaries. Steps carry the candidate's
 	// enumeration index, so the rendered trail is deterministic for a fixed
-	// machine/demand even under the streaming pipeline. Nil (the default)
-	// costs nothing on the hot path.
+	// machine/demand at any Parallelism. Nil (the default) costs nothing on
+	// the hot path.
 	Explain *obs.Explain
-	// Ctx, when non-nil, cancels an in-flight search: enumeration stops,
-	// scoring workers abandon their current bisection at the next probe
+	// Ctx, when non-nil, cancels an in-flight search: no further
+	// candidate is scored, in-flight bisections stop at their next probe
 	// (see maxflow.TimeBisector.Ctx), and Search returns the context's
 	// error. An abandoned caller — a disconnected planning request, a
 	// timed-out RPC — therefore stops consuming CPU instead of running the
@@ -224,20 +231,18 @@ type Result struct {
 	Machine    *topology.Machine
 }
 
-// cand is one enumerated placement flowing through the search pipeline.
-// seq is its enumeration index (also its "cand%d" name); key is filled by
-// the dedupe stage when canonicalization ran.
+// cand is one deduped placement awaiting a score. seq is its enumeration
+// index (also its "cand%d" name); key is its canonical key.
 type cand struct {
 	seq int
 	p   *topology.Placement
 	key string
 }
 
-// scoredSeq is a scored candidate tagged with its enumeration index (the
-// deterministic tiebreaker) and whether the score came from the cache.
-type scoredSeq struct {
+// scoredCand is a scored candidate and whether the score came from the
+// cache.
+type scoredCand struct {
 	Scored
-	seq int
 	hit bool
 }
 
@@ -282,7 +287,7 @@ func cachePrefix(m *topology.Machine, d *flownet.Demand, tol float64, faultsKey 
 	return fmt.Sprintf("%x|%x|", h.Sum(), d.Fingerprint())
 }
 
-// searchState carries the per-search context shared by the pipeline stages.
+// searchState carries the per-search context the scoring workers share.
 type searchState struct {
 	m      *topology.Machine
 	d      *flownet.Demand
@@ -291,61 +296,51 @@ type searchState struct {
 	sp     *obs.Span
 	ex     *obs.Explain // nil when the caller asked for no provenance
 	prefix string       // cache key prefix; "" when no cache
-
-	enumerated atomic.Int64
-	pruned     atomic.Int64
 }
 
-// collector folds scored candidates into a Result deterministically: the
-// best is the minimum (time, enumeration index) pair, so arrival order —
-// which the streaming pipeline does not guarantee — never shows through.
+// collector folds scored candidates, fed in enumeration order, into a
+// Result: the best is the first candidate with the minimum time, so the
+// winner never depends on which worker finished first.
 type collector struct {
-	best    *Scored
-	bestSeq int
-	count   int
-	hits    int
-	scores  []scoredSeq
-	keep    bool
+	best   *Scored
+	count  int
+	hits   int
+	scores []Scored
+	keep   bool
 }
 
-func (c *collector) add(s scoredSeq) {
+func (c *collector) add(s scoredCand) {
 	c.count++
 	if s.hit {
 		c.hits++
 	}
 	if c.keep {
-		c.scores = append(c.scores, s)
+		c.scores = append(c.scores, s.Scored)
 	}
 	if s.Err != nil {
 		return
 	}
-	if c.best == nil || s.Time < c.best.Time || (s.Time == c.best.Time && s.seq < c.bestSeq) {
+	if c.best == nil || s.Time < c.best.Time {
 		sc := s.Scored
-		c.best, c.bestSeq = &sc, s.seq
+		c.best = &sc
 	}
 }
 
 // Search enumerates placements, reduces symmetry, scores every survivor by
 // time-bisection max-flow under demand d, and returns the fastest.
 //
-// The three stages — enumerate, dedupe (canonical-key isomorphic
-// reduction), and score — run as a streaming channel pipeline: candidates
-// are scored while later ones are still being enumerated, and a bounded
-// worker pool (min(Parallelism, enumeration size) goroutines, each holding
-// a reusable scratch network) drains the dedupe stage. Options.Serial runs
-// the same stages in a single goroutine as the differential reference.
-// Candidates whose networks are infeasible (disconnected demand) are
-// skipped; with Options.Cache, previously seen candidates skip the max-flow
-// solve entirely.
+// Enumeration and dedupe (canonical-key isomorphic reduction) run in the
+// caller's goroutine. Scoring is a parallel map over the deduped
+// candidates (see scoreAll), and the results fold in enumeration order, so
+// the outcome is identical at every Parallelism. Candidates whose networks
+// are infeasible (disconnected demand) are skipped; with Options.Cache,
+// previously seen candidates skip the max-flow solve entirely.
 func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error) {
 	if opt.Tolerance <= 0 {
 		opt.Tolerance = 1e-4
 	}
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
 	}
 	if opt.Ctx != nil {
 		if err := opt.Ctx.Err(); err != nil {
@@ -355,50 +350,49 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 	o := obs.Active(opt.Observer)
 	sp := o.Begin("placement.search")
 	sp.SetStr("machine", m.Name)
-	if opt.Serial {
-		sp.SetStr("mode", "serial")
-	}
 	defer sp.End()
 
-	// The composition lists are tiny (one entry per attach point each);
-	// their product is the enumeration size, known before any candidate is
-	// built — it bounds the worker pool without materializing candidates.
-	gpuCaps := make([]int, len(m.Points))
-	ssdCaps := make([]int, len(m.Points))
-	for i, p := range m.Points {
-		gpuCaps[i] = p.GPUSlots
-		ssdCaps[i] = p.Bays
+	esp := sp.Child("enumerate")
+	ps, err := Enumerate(m) // validates m
+	esp.SetInt("candidates", len(ps))
+	esp.End()
+	if err != nil {
+		return nil, err
 	}
-	gpuDists := compositions(m.NumGPUs, gpuCaps)
-	ssdDists := compositions(m.NumSSDs, ssdCaps)
-	total := len(gpuDists) * len(ssdDists)
-	if total == 0 {
+	if len(ps) == 0 {
 		return nil, fmt.Errorf("placement: no feasible candidates for machine %s", m.Name)
 	}
-
-	st := &searchState{m: m, d: d, opt: opt, o: o, sp: sp, ex: opt.Explain}
-	if opt.Cache != nil {
-		st.prefix = cachePrefix(m, d, opt.Tolerance, opt.FaultsKey)
-	}
-
-	var col collector
-	col.keep = opt.KeepScores
-	var err error
-	if opt.Serial {
-		err = searchSerial(st, gpuDists, ssdDists, &col)
-	} else {
-		err = searchStream(st, gpuDists, ssdDists, total, &col)
-	}
+	psp := sp.Child("prune")
+	kept, pruned, err := dedupe(m, ps, opt.SkipDedupe)
+	psp.SetInt("kept", len(kept))
+	psp.SetInt("pruned", len(pruned))
+	psp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	enumerated := int(st.enumerated.Load())
-	o.Counter("placement_candidates_enumerated_total").Add(float64(enumerated))
-	o.Counter("placement_candidates_pruned_total").Add(float64(st.pruned.Load()))
+	st := &searchState{m: m, d: d, opt: opt, o: o, sp: sp, ex: opt.Explain}
+	for _, i := range pruned {
+		st.ex.Add(obs.ExplainStep{Seq: i, Stage: "prune", Subject: ps[i].Name, Reason: "isomorphic-duplicate"})
+	}
+	if opt.Cache != nil {
+		st.prefix = cachePrefix(m, d, opt.Tolerance, opt.FaultsKey)
+	}
+	results := scoreAll(st, kept)
+	if opt.Ctx != nil {
+		if err := opt.Ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	col := collector{keep: opt.KeepScores}
+	for _, s := range results {
+		col.add(s)
+	}
+	o.Counter("placement_candidates_enumerated_total").Add(float64(len(ps)))
+	o.Counter("placement_candidates_pruned_total").Add(float64(len(pruned)))
 
 	res := &Result{
-		Enumerated: enumerated,
+		Enumerated: len(ps),
 		Evaluated:  col.count,
 		CacheHits:  col.hits,
 		Demand:     d,
@@ -411,26 +405,21 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 	if res.Time > 0 {
 		res.Throughput = units.Bandwidth(d.TotalDemand() / res.Time.Sec())
 	}
-	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "enumerated", Count: enumerated})
-	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "pruned", Count: int(st.pruned.Load())})
+	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "enumerated", Count: len(ps)})
+	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "pruned", Count: len(pruned)})
 	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "evaluated", Count: col.count})
 	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "search", Reason: "score-cache-hits", Count: col.hits})
 	st.ex.Add(obs.ExplainStep{Seq: obs.SeqSummary, Stage: "result", Subject: col.best.Placement.Name, Value: res.Time.Sec()})
 	if opt.KeepScores {
-		sort.Slice(col.scores, func(a, b int) bool {
+		// Stable: equal times stay in enumeration order.
+		sort.SliceStable(col.scores, func(a, b int) bool {
 			sa, sb := col.scores[a], col.scores[b]
 			if (sa.Err == nil) != (sb.Err == nil) {
 				return sa.Err == nil
 			}
-			if sa.Time != sb.Time {
-				return sa.Time < sb.Time
-			}
-			return sa.seq < sb.seq
+			return sa.Time < sb.Time
 		})
-		res.Scores = make([]Scored, len(col.scores))
-		for i, s := range col.scores {
-			res.Scores[i] = s.Scored
-		}
+		res.Scores = col.scores
 	}
 	best := col.best.Placement.Clone()
 	best.Name = fmt.Sprintf("%s(moment)", m.Name)
@@ -446,346 +435,43 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 	return res, nil
 }
 
-// emit streams the candidate cross product in enumeration order, calling
-// yield for each; a false return stops the walk. Names match the historical
-// Enumerate order ("cand<seq>").
-func emit(m *topology.Machine, gpuDists, ssdDists [][]int, yield func(c cand) bool) {
-	seq := 0
-	for _, gd := range gpuDists {
-		for _, sd := range ssdDists {
-			p := &topology.Placement{Name: fmt.Sprintf("cand%d", seq)}
-			for i, pt := range m.Points {
-				for k := 0; k < gd[i]; k++ {
-					p.GPUAt = append(p.GPUAt, pt.ID)
-				}
-				for k := 0; k < sd[i]; k++ {
-					p.SSDAt = append(p.SSDAt, pt.ID)
-				}
-			}
-			if !yield(cand{seq: seq, p: p}) {
+// scoreAll is the scoring map: it scores kept[i] into results[i].
+// min(Parallelism, len(kept)) workers claim indices from a shared counter,
+// each threading its own scratch network through flownet.BuildReuse; a
+// single worker runs inline in the caller's goroutine. Once Ctx is canceled
+// every worker stops before its next candidate (an in-flight bisection
+// sees the same context), leaving the remaining results unset — Search
+// then returns the context's error instead of folding them.
+func scoreAll(st *searchState, kept []cand) []scoredCand {
+	results := make([]scoredCand, len(kept))
+	var next atomic.Int64
+	work := func() {
+		var scratch *flownet.Network
+		for i := int(next.Add(1) - 1); i < len(kept); i = int(next.Add(1) - 1) {
+			if st.opt.Ctx != nil && st.opt.Ctx.Err() != nil {
 				return
 			}
-			seq++
-		}
-	}
-}
-
-// searchSerial is the single-goroutine reference pipeline: the same
-// enumerate → dedupe → score stages run inline, in enumeration order.
-func searchSerial(st *searchState, gpuDists, ssdDists [][]int, col *collector) error {
-	// The stages are interleaved in one loop, so the enumerate and prune
-	// spans both cover it; their attributes carry the per-stage counts.
-	esp := st.sp.Fork("enumerate")
-	psp := st.sp.Fork("prune")
-	needKey := !st.opt.SkipDedupe || st.opt.Cache != nil
-	seen := make(map[string]struct{})
-	var scratch *flownet.Network
-	var keyErr error
-	kept := 0
-	emit(st.m, gpuDists, ssdDists, func(c cand) bool {
-		st.enumerated.Add(1)
-		if st.opt.Ctx != nil {
-			if err := st.opt.Ctx.Err(); err != nil {
-				keyErr = err
-				return false
+			if evalHook != nil {
+				evalHook()
 			}
-		}
-		if needKey {
-			c.key, keyErr = CanonicalKey(st.m, c.p)
-			if keyErr != nil {
-				return false
-			}
-			if !st.opt.SkipDedupe {
-				if _, dup := seen[c.key]; dup {
-					st.pruned.Add(1)
-					st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "prune", Subject: c.p.Name, Reason: "isomorphic-duplicate"})
-					return true
-				}
-				seen[c.key] = struct{}{}
-			}
-		}
-		kept++
-		if evalHook != nil {
-			evalHook()
-		}
-		var s scoredSeq
-		s, scratch = scoreCached(st, c, scratch)
-		col.add(s)
-		return true
-	})
-	esp.SetInt("candidates", int(st.enumerated.Load()))
-	esp.End()
-	psp.SetInt("kept", kept)
-	psp.SetInt("pruned", int(st.pruned.Load()))
-	psp.End()
-	return keyErr
-}
-
-// searchStream is the concurrent pipeline: an enumerator goroutine feeds a
-// dedupe goroutine feeds a scoring stage; the caller's goroutine collects.
-// The scoring stage has two modes: by default, builder goroutines construct
-// candidate networks and hand the bisections to a shared maxflow.ProbePool
-// whose workers solve them on warm graph arenas (build and solve overlap,
-// see streamPoolScore); with Options.NoProbePool — or while flownet
-// self-checks are installed — a bounded worker pool builds and solves
-// inline, the pre-pool reference behavior. A closed done channel aborts
-// every stage early (canonicalization failure — enumerated candidates are
-// valid by construction, but the guard keeps the pipeline from deadlocking
-// if that invariant ever breaks).
-func searchStream(st *searchState, gpuDists, ssdDists [][]int, total int, col *collector) error {
-	workers := st.opt.Parallelism
-	if workers > total {
-		workers = total
-	}
-	usePool := !st.opt.NoProbePool && flownet.Check == nil
-	candc := make(chan cand, workers)
-	keyc := make(chan cand, workers)
-	resc := make(chan scoredSeq, workers)
-	done := make(chan struct{})
-	// The pool context fans an abort out to in-flight bisections and
-	// blocked pool operations; deriving it from the caller's context makes
-	// external cancellation reach pooled solves without a channel receive.
-	baseCtx := st.opt.Ctx
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
-	poolCtx, poolCancel := context.WithCancel(baseCtx)
-	defer poolCancel()
-	var failErr error
-	var failOnce sync.Once
-	fail := func(err error) {
-		failOnce.Do(func() {
-			failErr = err
-			poolCancel()
-			close(done)
-		})
-	}
-	if st.opt.Ctx != nil {
-		// Abort every stage when the caller abandons the search. Workers
-		// mid-solve also see the context through the network (score passes
-		// it to the bisector), so cancellation is not gated on the next
-		// channel receive.
-		stop := context.AfterFunc(st.opt.Ctx, func() { fail(st.opt.Ctx.Err()) })
-		defer stop()
-	}
-
-	go func() { // stage 1: enumerate
-		esp := st.sp.Fork("enumerate")
-		defer func() {
-			esp.SetInt("candidates", int(st.enumerated.Load()))
-			esp.End()
-			close(candc)
-		}()
-		emit(st.m, gpuDists, ssdDists, func(c cand) bool {
-			st.enumerated.Add(1)
-			select {
-			case candc <- c:
-				return true
-			case <-done:
-				return false
-			}
-		})
-	}()
-
-	go func() { // stage 2: canonicalize + dedupe
-		psp := st.sp.Fork("prune")
-		kept := 0
-		defer func() {
-			psp.SetInt("kept", kept)
-			psp.SetInt("pruned", int(st.pruned.Load()))
-			psp.End()
-			close(keyc)
-		}()
-		needKey := !st.opt.SkipDedupe || st.opt.Cache != nil
-		seen := make(map[string]struct{})
-		for c := range candc {
-			if needKey {
-				key, err := CanonicalKey(st.m, c.p)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if !st.opt.SkipDedupe {
-					if _, dup := seen[key]; dup {
-						st.pruned.Add(1)
-						st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "prune", Subject: c.p.Name, Reason: "isomorphic-duplicate"})
-						continue
-					}
-					seen[key] = struct{}{}
-				}
-				c.key = key
-			}
-			select {
-			case keyc <- c:
-				kept++
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	var pool *maxflow.ProbePool
-	if usePool {
-		pool = streamPoolScore(st, keyc, resc, done, poolCtx, workers)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ { // stage 3: inline scoring pool
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var scratch *flownet.Network
-				for c := range keyc {
-					if evalHook != nil {
-						evalHook()
-					}
-					var s scoredSeq
-					s, scratch = scoreCached(st, c, scratch)
-					select {
-					case resc <- s:
-					case <-done:
-						return
-					}
-				}
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(resc)
-		}()
-	}
-
-	for s := range resc { // stage 4: collect (caller's goroutine)
-		col.add(s)
-	}
-	if st.opt.Ctx != nil {
-		// Cancellation reaches the pipeline through context parentage
-		// (poolCtx derives from the caller's context), which can drain every
-		// stage before the AfterFunc goroutine — the failErr writer — gets
-		// scheduled. Routing the context error through fail() here closes
-		// that race: the Once both makes the call idempotent and
-		// synchronizes the failErr read below with any concurrent writer.
-		if err := st.opt.Ctx.Err(); err != nil {
-			fail(err)
+			results[i], scratch = scoreCached(st, kept[i], scratch)
 		}
 	}
-	if pool != nil {
-		// resc only closes after ProbePool.Close returned (streamPoolScore's
-		// shutdown sequence), so the snapshot is final.
-		ps := pool.Stats()
-		st.o.Counter("probe_pool_probes_total").Add(float64(ps.Submitted))
-		st.o.Counter("probe_pool_solved_total").Add(float64(ps.Solved))
-		st.o.Counter("probe_pool_canceled_total").Add(float64(ps.Canceled))
-		st.o.Counter("probe_pool_arena_reuses_total").Add(float64(ps.ArenaReuses))
-		st.o.Gauge("probe_pool_workers").Set(float64(pool.NumWorkers()))
+	workers := min(st.opt.Parallelism, len(kept))
+	if workers <= 1 {
+		work()
+		return results
 	}
-	return failErr
-}
-
-// streamPoolScore is the pooled scoring stage: `workers` builder goroutines
-// consume deduped candidates, serve cache hits and build failures directly,
-// and submit everything else to a shared maxflow.ProbePool that solves the
-// bisections concurrently on its own warm graph arenas. Submit clones the
-// candidate's network synchronously, so a builder starts constructing its
-// next network (into the same recycled scratch) while the pool is still
-// solving the previous one — construction overlaps solving instead of
-// queueing behind it. A finisher goroutine meters pool results exactly as
-// an inline SolveTol would (flownet.MeterProbe) and forwards them; the
-// collector's (time, seq) rule makes the merge deterministic regardless of
-// completion order. Shutdown is sequenced builders → pool → finisher →
-// resc, so when resc closes the pool's counters are final.
-func streamPoolScore(st *searchState, keyc <-chan cand, resc chan<- scoredSeq, done <-chan struct{}, poolCtx context.Context, workers int) *maxflow.ProbePool {
-	pool := &maxflow.ProbePool{Workers: workers, Ctx: poolCtx}
-	pool.Start()
-	var bwg, fwg sync.WaitGroup
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		bwg.Add(1)
 		go func() {
-			defer bwg.Done()
-			var scratch *flownet.Network
-			for c := range keyc {
-				if evalHook != nil {
-					evalHook()
-				}
-				if s, ok := cacheGet(st, c); ok {
-					select {
-					case resc <- s:
-						continue
-					case <-done:
-						return
-					}
-				}
-				n, err := flownet.BuildReuse(st.m, c.p, st.d, scratch)
-				if err != nil {
-					sp := st.sp.Fork("maxflow-score")
-					sp.SetStr("candidate", c.p.Name)
-					sp.SetStr("error", err.Error())
-					sp.End()
-					st.o.Counter("placement_candidates_infeasible_total").Inc()
-					st.o.Logf("placement: candidate %s infeasible: %v", c.p.Name, err)
-					st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "infeasible-build"})
-					s := scoredSeq{Scored: Scored{Placement: c.p, Err: err}, seq: c.seq}
-					cachePut(st, c, s.Scored)
-					select {
-					case resc <- s:
-						continue
-					case <-done:
-						return
-					}
-				}
-				scratch = n
-				if err := pool.Submit(n.Probe(c.seq, c, st.opt.Tolerance)); err != nil {
-					// Pool context canceled: the context AfterFunc (or the
-					// failing stage) already routed the error to fail().
-					return
-				}
-			}
+			defer wg.Done()
+			work()
 		}()
 	}
-	fwg.Add(1)
-	go func() {
-		defer fwg.Done()
-		for r := range pool.Results() {
-			c := r.Tag.(cand)
-			sp := st.sp.Fork("maxflow-score")
-			sp.SetStr("candidate", c.p.Name)
-			t, err := flownet.MeterProbe(st.o, st.m.Name, c.p.Name, r)
-			s := scoredSeq{seq: c.seq}
-			s.Placement = c.p
-			if err != nil {
-				sp.SetStr("error", err.Error())
-				s.Err = err
-				if r.Canceled() {
-					st.o.Event(obs.Event{Kind: obs.EvProbeAbort, Name: "probe-abort",
-						Subject: c.p.Name, V1: float64(r.Probes)})
-				} else {
-					st.o.Counter("placement_candidates_infeasible_total").Inc()
-					st.o.Logf("placement: candidate %s unsolvable: %v", c.p.Name, err)
-					st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "unsolvable"})
-				}
-			} else {
-				sp.SetFloat("predicted_seconds", t.Sec())
-				s.Time = t
-				st.o.Counter("placement_candidates_scored_total").Inc()
-				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "score", Subject: c.p.Name, Reason: "solved", Value: t.Sec()})
-				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "bisect", Subject: c.p.Name, Reason: "probes", Count: r.Probes})
-				st.ex.Add(obs.ExplainStep{Seq: c.seq, Stage: "bisect", Subject: c.p.Name, Reason: "iterations", Count: r.Iterations})
-			}
-			sp.End()
-			cachePut(st, c, s.Scored)
-			select {
-			case resc <- s:
-			case <-done:
-				return
-			}
-		}
-	}()
-	go func() {
-		bwg.Wait()
-		pool.Close()
-		fwg.Wait()
-		close(resc)
-	}()
-	return pool
+	wg.Wait()
+	return results
 }
 
 // Check, when non-nil, audits every Search result before it is returned
@@ -800,20 +486,18 @@ var Check func(m *topology.Machine, d *flownet.Demand, opt Options, res *Result)
 var evalHook func()
 
 // cacheGet consults the score cache for candidate c, accounting the hit or
-// miss. It is the shared fast path of every scoring mode (serial, inline
-// streaming, pooled streaming), so hit/miss/scored/infeasible counters are
-// identical across them by construction.
-func cacheGet(st *searchState, c cand) (scoredSeq, bool) {
-	if st.opt.Cache == nil || c.key == "" {
-		return scoredSeq{}, false
+// miss.
+func cacheGet(st *searchState, c cand) (scoredCand, bool) {
+	if st.opt.Cache == nil {
+		return scoredCand{}, false
 	}
 	s, ok := st.opt.Cache.Get(st.prefix + c.key)
 	if !ok {
 		st.o.Counter("placement_cache_misses_total").Inc()
-		return scoredSeq{}, false
+		return scoredCand{}, false
 	}
 	st.o.Counter("placement_cache_hits_total").Inc()
-	out := scoredSeq{seq: c.seq, hit: true}
+	out := scoredCand{hit: true}
 	out.Placement = c.p
 	if s.Infeasible {
 		out.Err = errors.New(s.Err)
@@ -830,7 +514,7 @@ func cacheGet(st *searchState, c cand) (scoredSeq, bool) {
 // cachePut memoizes a scored candidate unless the result reflects caller
 // cancellation rather than a property of the candidate.
 func cachePut(st *searchState, c cand, s Scored) {
-	if st.opt.Cache == nil || c.key == "" || isCanceled(s.Err) {
+	if st.opt.Cache == nil || isCanceled(s.Err) {
 		return
 	}
 	entry := scorecache.Score{Seconds: s.Time.Sec()}
@@ -840,17 +524,17 @@ func cachePut(st *searchState, c cand, s Scored) {
 	st.opt.Cache.Put(st.prefix+c.key, entry)
 }
 
-// scoreCached scores one candidate inline, consulting the cache first when
-// the search has one, and returns the (possibly newly built) scratch
-// network for the worker to reuse on its next candidate.
-func scoreCached(st *searchState, c cand, scratch *flownet.Network) (scoredSeq, *flownet.Network) {
+// scoreCached scores one candidate, consulting the cache first when the
+// search has one, and returns the (possibly newly built) scratch network
+// for the worker to reuse on its next candidate.
+func scoreCached(st *searchState, c cand, scratch *flownet.Network) (scoredCand, *flownet.Network) {
 	if out, ok := cacheGet(st, c); ok {
 		return out, scratch
 	}
 	var s Scored
 	s, scratch = score(st, c, scratch)
 	cachePut(st, c, s)
-	return scoredSeq{Scored: s, seq: c.seq}, scratch
+	return scoredCand{Scored: s}, scratch
 }
 
 // isCanceled reports whether err stems from caller cancellation rather than

@@ -6,11 +6,11 @@
 //
 // Explain runs are deliberately isolated from the serving fast paths:
 //
-//   - Serial search, no score cache, no plan cache. A cache hit would
+//   - One scoring worker, no score cache, no plan cache. A cache hit would
 //     change the trail depending on what other tenants planned before, and
-//     a parallel search interleaves nondeterministically; byte-determinism
-//     for a fixed request is the endpoint's contract (golden-testable,
-//     diffable across deploys).
+//     one worker keeps the trail independent of scheduling;
+//     byte-determinism for a fixed request is the endpoint's contract
+//     (golden-testable, diffable across deploys).
 //   - Bounded by its own semaphore (sized off Workers) instead of the
 //     admission queue: explain is a forensic/debug surface and must not
 //     compete with production planning for queue slots, but also must not
@@ -99,10 +99,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Machine:  cr.machine,
 		Workload: cr.wl,
 		Search: placement.Options{
-			Tolerance: cr.tol,
-			Serial:    true,
-			Explain:   ex,
-			Ctx:       ctx,
+			Tolerance:   cr.tol,
+			Parallelism: 1,
+			Explain:     ex,
+			Ctx:         ctx,
 		},
 		Observer: s.obs,
 	}

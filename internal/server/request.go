@@ -217,6 +217,10 @@ func canonicalize(req *PlanRequest, defaultDeadline, maxDeadline time.Duration) 
 	if req.Workload.BatchSize < 0 {
 		return nil, badReq("workload.batch_size must be >= 0")
 	}
+	if train := ds.TrainVertices(); int64(req.Workload.BatchSize) > train {
+		return nil, badReq("workload.batch_size %d exceeds dataset %s's %d training vertices",
+			req.Workload.BatchSize, ds.Name, train)
+	}
 	for _, f := range req.Workload.Fanouts {
 		if f <= 0 {
 			return nil, badReq("workload.fanouts must be positive")

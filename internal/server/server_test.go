@@ -615,6 +615,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad faults", `{"machine":"B","workload":{"dataset":"PA"},"faults":"nonsense"}`, http.StatusBadRequest},
 		{"bad spec", `{"machine_spec":"gibberish","workload":{"dataset":"PA"}}`, http.StatusBadRequest},
 		{"negative deadline", `{"machine":"B","workload":{"dataset":"PA"},"deadline_ms":-5}`, http.StatusBadRequest},
+		{"batch over train set", `{"machine":"B","workload":{"dataset":"PA","batch_size":1099511627776}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -632,6 +633,42 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/plan: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestCanonicalizeBatchBound: a batch size up to the dataset's training
+// set is accepted; anything larger is a client error (400), not a plan
+// that reports more unique vertices per batch than the dataset has.
+func TestCanonicalizeBatchBound(t *testing.T) {
+	const trainPA = 1_110_000 // 1% of PA's 111M vertices
+	cases := []struct {
+		batch int
+		ok    bool
+	}{
+		{0, true},
+		{8000, true},
+		{trainPA, true},
+		{trainPA + 1, false},
+		{1 << 40, false},
+	}
+	for _, tc := range cases {
+		t.Run(strconv.Itoa(tc.batch), func(t *testing.T) {
+			req := &PlanRequest{Machine: "B", Workload: WorkloadSpec{Dataset: "PA", BatchSize: tc.batch}}
+			cr, err := canonicalize(req, time.Second, 0)
+			if !tc.ok {
+				var bad errBadRequest
+				if !errors.As(err, &bad) {
+					t.Fatalf("err = %v, want a bad request", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.batch != 0 && cr.wl.BatchSize != tc.batch {
+				t.Errorf("batch size %d canonicalized to %d", tc.batch, cr.wl.BatchSize)
+			}
+		})
 	}
 }
 

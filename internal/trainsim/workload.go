@@ -97,6 +97,13 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 	if d.Vertices <= 0 || d.Skew <= 0 {
 		return nil, fmt.Errorf("trainsim: dataset %q lacks scale/skew parameters", d.Name)
 	}
+	// A batch draws its seeds from the training set, so it cannot hold more
+	// of them than the set has; past that the seed mass below would count
+	// more distinct vertices per batch than the dataset contains.
+	if train := d.TrainVertices(); int64(w.BatchSize) > train {
+		return nil, fmt.Errorf("trainsim: batch size %d exceeds dataset %q's %d training vertices",
+			w.BatchSize, d.Name, train)
+	}
 	n := d.Vertices
 	s := d.Skew
 	harmonic := generalizedHarmonic(n, s)

@@ -108,6 +108,46 @@ func TestComputeStatsDedupFactor(t *testing.T) {
 	}
 }
 
+// TestComputeStatsBatchBound: a batch cannot hold more seeds than the
+// training set has. Up to that bound the per-batch unique count stays
+// within the dataset; past it the workload is rejected instead of
+// reporting more distinct vertices per batch than exist.
+func TestComputeStatsBatchBound(t *testing.T) {
+	d := dataset(t, "PA")
+	train := d.TrainVertices()
+	cases := []struct {
+		name  string
+		batch int64
+		ok    bool
+	}{
+		{"default", 0, true},
+		{"one", 1, true},
+		{"paper", 8000, true},
+		{"whole train set", train, true},
+		{"train set plus one", train + 1, false},
+		{"2^40", 1 << 40, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := ComputeStats(Workload{Dataset: d, BatchSize: int(tc.batch)}, 0)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("batch %d accepted: %.3g unique per batch on %d vertices",
+						tc.batch, s.UniquePerBatch, d.Vertices)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.UniquePerBatch <= 0 || s.UniquePerBatch > float64(d.Vertices) {
+				t.Errorf("batch %d: %.3g unique per batch, dataset has %d vertices",
+					tc.batch, s.UniquePerBatch, d.Vertices)
+			}
+		})
+	}
+}
+
 func TestComputeStatsErrors(t *testing.T) {
 	d := dataset(t, "IG")
 	if _, err := ComputeStats(Workload{Dataset: d, BatchSize: -1}, 0); err == nil {
