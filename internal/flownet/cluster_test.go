@@ -131,7 +131,7 @@ func TestClusterSolveNonBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := d.Export[0] / float64(cs.NICBW)
-	if got := nt.Sec(); math.Abs(got-want) > 0.02*want {
+	if got := nt.Sec(); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("NetworkTime = %vs, want %vs (export/NICBW)", got, want)
 	}
 	eg, in, err := cn.NICBytes()
@@ -180,7 +180,7 @@ func TestClusterOversubscribedUplink(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 24 * GiB / float64(cs.LeafUplinkBW)
-	if got := nt.Sec(); math.Abs(got-want) > 0.02*want {
+	if got := nt.Sec(); math.Abs(got-want) > 1e-9*want {
 		t.Errorf("NetworkTime = %vs, want %vs (leaf uplink bound)", got, want)
 	}
 	osub := cs.Oversubscription()
@@ -199,7 +199,7 @@ func TestClusterNICOnGPUSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tBase, err := base.SolveTol(1e-6)
+	tBase, err := base.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestClusterNICOnGPUSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tFab, err := fab.SolveTol(1e-6)
+	tFab, err := fab.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,18 @@
 // Package flownet converts a physical topology plus a hardware placement
 // into the augmented single-source single-sink capacity-constrained directed
 // graph of paper §3.2, and answers the questions Moment's planner asks of
-// it: the minimum epoch I/O completion time (via time-bisection max-flow),
-// per-GPU inlet bandwidth, per-storage-bin traffic (DDAK's Bin_traffic
-// input), and per-link utilization (QPI contention analysis, Fig 17).
+// it: the minimum epoch I/O completion time (exact, by Newton steps on
+// max-flow min cuts), per-GPU inlet bandwidth, per-storage-bin traffic
+// (DDAK's Bin_traffic input), and per-link utilization (QPI contention
+// analysis, Fig 17).
 //
 // Node classes follow the paper: storage nodes (SSDs, per-socket DRAM
 // feature caches, per-GPU HBM caches serving peers), interconnect nodes
 // (root complexes and PCIe switches), computation nodes (GPUs), and the
 // virtual source/sink. Physical links are rate edges (bytes/second, scaled
-// by the bisection horizon); virtual source/sink arcs are fixed byte
-// budgets. PCIe and QPI are full duplex, so each physical link contributes
-// one directed edge per direction with independent capacity.
+// by the horizon); virtual source/sink arcs are fixed byte budgets. PCIe
+// and QPI are full duplex, so each physical link contributes one directed
+// edge per direction with independent capacity.
 //
 // Local HBM cache hits never touch the fabric, so callers subtract them
 // from per-GPU demand before building a Demand; only the peer-served share
@@ -364,127 +365,42 @@ func (n *Network) trackLink(name string, rate float64, edges ...maxflow.EdgeID) 
 	n.linkRate[name] += rate * float64(len(edges))
 }
 
-// PatchDemand reprices every byte-budget (fixed) edge of an already built
-// network to demand d without rebuilding the graph — the fast path for
-// re-scoring one placement under many demand vectors (hotness drift,
-// fault-triggered re-bins). The new demand must be structurally compatible
-// with the network: same GPU/SSD counts, same HBMPeer and SSDPer nil-ness
-// (those toggle nodes, not budgets), and DRAM budgets only on sockets the
-// machine has. Rate increases since the last solve keep the bisector's
-// warm start valid; budget decreases are self-detected and force a cold
-// probe (see TimeBisector.SetFixed). The network is left unsolved.
-func (n *Network) PatchDemand(d *Demand) error {
-	m := n.Machine
-	if len(d.PerGPU) != m.NumGPUs {
-		return fmt.Errorf("flownet: patch demand for %d GPUs, machine has %d", len(d.PerGPU), m.NumGPUs)
-	}
-	if (d.HBMPeer == nil) != (n.demand.HBMPeer == nil) {
-		return fmt.Errorf("flownet: patch cannot toggle HBM peer serving (rebuild required)")
-	}
-	if d.HBMPeer != nil && len(d.HBMPeer) != m.NumGPUs {
-		return fmt.Errorf("flownet: patch HBMPeer for %d GPUs, machine has %d", len(d.HBMPeer), m.NumGPUs)
-	}
-	if (d.SSDPer == nil) != (n.demand.SSDPer == nil) {
-		return fmt.Errorf("flownet: patch cannot toggle per-SSD pinning (rebuild required)")
-	}
-	if d.SSDPer != nil && len(d.SSDPer) != m.NumSSDs {
-		return fmt.Errorf("flownet: patch SSDPer for %d SSDs, machine has %d", len(d.SSDPer), m.NumSSDs)
-	}
-	for rc := range d.DRAM {
-		if _, ok := n.DRAMNode[rc]; !ok {
-			return fmt.Errorf("flownet: DRAM budget for unknown socket %q", rc)
-		}
-	}
-	supply, dem := d.TotalSupply(), d.TotalDemand()
-	if supply < dem-1e-6-1e-9*dem {
-		return fmt.Errorf("flownet: storage supply %.0f < GPU demand %.0f", supply, dem)
-	}
-
-	for i, e := range n.demandEdge {
-		if err := n.bis.SetFixed(e, d.PerGPU[i]); err != nil {
-			return err
-		}
-	}
-	if d.HBMPeer != nil {
-		for i, e := range n.supplyHBM {
-			if e < 0 {
-				continue
-			}
-			if err := n.bis.SetFixed(e, d.HBMPeer[i]); err != nil {
-				return err
-			}
-		}
-	}
-	for rc, e := range n.supplyDRAM {
-		budget := 0.0
-		if d.DRAM != nil {
-			budget = d.DRAM[rc]
-		}
-		if err := n.bis.SetFixed(e, budget); err != nil {
-			return err
-		}
-	}
-	if d.SSDPer != nil {
-		for i, e := range n.supplySSD {
-			if err := n.bis.SetFixed(e, d.SSDPer[i]); err != nil {
-				return err
-			}
-		}
-	} else if n.supplyPool >= 0 {
-		if err := n.bis.SetFixed(n.supplyPool, d.SSDTotal); err != nil {
-			return err
-		}
-	}
-	n.bis.Demand = dem
-	n.demand = d
-	n.solvedT = 0
-	return nil
-}
-
 // Check, when non-nil, audits every solved network before Solve returns
 // (flow certificate, supply/utilization invariants). It is installed by
 // internal/verify when self-verification is enabled; declared here rather
 // than imported so flownet does not depend on the verification subsystem.
 var Check func(*Network) error
 
-// Solve runs the time-bisection and returns the minimum time to deliver all
-// per-GPU demand. The flow for that horizon stays on the graph for the
-// metric accessors below.
-func (n *Network) Solve() (units.Duration, error) {
-	return n.SolveTol(1e-4)
-}
-
 // SetObserver attaches an observer so each Solve reports solver work
-// (augmenting paths, bisection iterations, wall time). Nil detaches.
+// (augmenting paths, min-time solves and Newton steps, wall time). Nil
+// detaches.
 func (n *Network) SetObserver(o *obs.Observer) { n.obsrv = o }
 
 // SetContext attaches a cancellation context to subsequent Solves: an
 // abandoned caller (e.g. a disconnected planning request) stops the
-// bisection at the next probe instead of running it to completion. Nil
-// detaches; BuildReuse detaches automatically (via TimeBisector.Reinit), so
-// a recycled scratch network never inherits a stale context.
+// min-time search at its next max-flow solve instead of running it to
+// completion. Nil detaches; BuildReuse detaches automatically (via
+// TimeBisector.Reinit), so a recycled scratch network never inherits a
+// stale context.
 func (n *Network) SetContext(ctx context.Context) { n.bis.Ctx = ctx }
 
-// SolveTol is Solve with an explicit relative bisection tolerance.
-func (n *Network) SolveTol(tol float64) (units.Duration, error) {
+// Solve finds the minimum time to deliver all per-GPU demand (exact; see
+// maxflow.TimeBisector.MinTime). The flow for that horizon stays on the
+// graph for the metric accessors below.
+func (n *Network) Solve() (units.Duration, error) {
 	o := n.obsrv
 	var before maxflow.SolveStats
-	var warmS, warmA int
 	var wall time.Time
 	if o != nil {
 		before = n.G.Stats()
-		warmS, warmA = n.bis.WarmStarts, n.bis.WarmAborts
 		wall = time.Now()
 	}
-	t, err := n.bis.MinTime(tol)
+	t, err := n.bis.MinTime()
 	if o != nil {
 		after := n.G.Stats()
 		o.Counter("maxflow_solves_total").Add(float64(after.Solves - before.Solves))
 		o.Counter("maxflow_augmenting_paths_total").Add(float64(after.AugmentingPaths - before.AugmentingPaths))
 		o.Counter("maxflow_relabels_total").Add(float64(after.Relabels - before.Relabels))
-		// Warm counters are cumulative on the bisector, so report deltas.
-		o.Counter("maxflow_warm_starts_total").Add(float64(n.bis.WarmStarts - warmS))
-		o.Counter("maxflow_warm_aborts_total").Add(float64(n.bis.WarmAborts - warmA))
 		o.Histogram("maxflow_bisection_iterations").Observe(float64(n.bis.Iterations))
 		o.Histogram("maxflow_bisection_probes").Observe(float64(n.bis.Probes))
 		o.Histogram("flownet_solve_seconds").Observe(time.Since(wall).Seconds())
@@ -505,12 +421,10 @@ func (n *Network) SolveTol(tol float64) (units.Duration, error) {
 	return units.Seconds(t), nil
 }
 
-// SolveCounters reports the bisection work of the most recent solve:
-// Probes and Iterations cover that solve alone (the bisector resets them per
-// MinTime), while WarmStarts and WarmAborts accumulate across the network's
-// lifetime.
-func (n *Network) SolveCounters() (probes, iterations, warmStarts, warmAborts int) {
-	return n.bis.Probes, n.bis.Iterations, n.bis.WarmStarts, n.bis.WarmAborts
+// SolveCounters reports the work of the most recent Solve: its max-flow
+// solves (probes) and Newton steps (iterations).
+func (n *Network) SolveCounters() (probes, iterations int) {
+	return n.bis.Probes, n.bis.Iterations
 }
 
 // Demand returns the demand the network was built for.

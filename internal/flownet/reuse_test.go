@@ -83,16 +83,15 @@ func TestBuildReuseAfterError(t *testing.T) {
 	}
 }
 
-// TestPatchDemandMatchesRebuild reprices budgets on a built network and
-// checks the solve agrees with a from-scratch Build of the new demand.
+// TestPatchDemandMatchesRebuild reprices a placement for new demands by
+// rebuilding into its own network (BuildReuse, the one repricing path) and
+// checks each solve equals a from-scratch Build of the new demand.
 func TestPatchDemandMatchesRebuild(t *testing.T) {
 	m := topology.MachineB()
 	n := build(t, m, topology.LayoutC, demandA(m.NumGPUs))
 	if _, err := n.Solve(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Scale the whole demand up (warm-friendly), then down (forces cold).
 	for _, factor := range []float64{1.5, 0.4} {
 		d2 := demandA(m.NumGPUs)
 		for i := range d2.PerGPU {
@@ -103,46 +102,79 @@ func TestPatchDemandMatchesRebuild(t *testing.T) {
 			d2.DRAM[k] *= factor
 		}
 		d2.SSDTotal *= factor
-		if err := n.PatchDemand(d2); err != nil {
-			t.Fatal(err)
-		}
-		if n.SolvedHorizon() != 0 {
-			t.Fatal("PatchDemand left network marked solved")
-		}
-		got := epochTime(t, n)
-		want := epochTime(t, build(t, m, topology.LayoutC, d2))
-		if math.Abs(got-want) > 1e-3*want {
-			t.Fatalf("factor %v: patched solve %v, rebuilt %v", factor, got, want)
+		repriced := reprice(t, n, d2)
+		if got, want := epochTime(t, repriced), epochTime(t, build(t, m, topology.LayoutC, d2)); got != want {
+			t.Fatalf("factor %v: repriced solve %v, rebuilt %v", factor, got, want)
 		}
 	}
 }
 
-// TestPatchDemandRejectsStructuralChanges covers every rebuild-required
-// mismatch: GPU count, HBM toggling, SSD pinning toggling, bad socket.
+// reprice rebuilds n for demand d through BuildReuse and checks the
+// network was reused and left unsolved.
+func reprice(t *testing.T, n *Network, d *Demand) *Network {
+	t.Helper()
+	r, err := BuildReuse(n.Machine, n.Placement, d, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != n {
+		t.Fatal("BuildReuse allocated a new Network despite scratch")
+	}
+	if r.SolvedHorizon() != 0 {
+		t.Fatal("repriced network still marked solved")
+	}
+	return r
+}
+
+// TestPatchDemandRejectsStructuralChanges reprices one network through
+// BuildReuse with incompatible demands (GPU count, unknown socket,
+// undersupply), which must be rejected, and with demands that change the
+// network's structure (HBM peer serving off, pinned SSD budgets), which
+// must solve like a fresh Build. Afterwards the network still solves the
+// original demand.
 func TestPatchDemandRejectsStructuralChanges(t *testing.T) {
 	m := topology.MachineA()
 	base := demandA(m.NumGPUs)
 	n := build(t, m, topology.LayoutA, base)
 	for name, d := range map[string]*Demand{
-		"gpu-count":   {PerGPU: []float64{1, 2}},
-		"hbm-toggle":  {PerGPU: base.PerGPU, SSDTotal: base.TotalDemand()},
-		"ssd-pinning": {PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, SSDPer: make([]float64, m.NumSSDs)},
+		"gpu-count": {PerGPU: []float64{1, 2}},
 		"bad-socket": {PerGPU: base.PerGPU, HBMPeer: base.HBMPeer,
 			DRAM: map[string]float64{"rc9": 1}, SSDTotal: base.SSDTotal},
 		"undersupply": {PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, SSDTotal: 1},
 	} {
-		if err := n.PatchDemand(d); err == nil {
-			t.Errorf("%s: patch accepted incompatible demand", name)
+		if _, err := BuildReuse(m, n.Placement, d, n); err == nil {
+			t.Errorf("%s: incompatible demand accepted", name)
 		}
 	}
-	// The network must still solve correctly after rejected patches.
+	per := make([]float64, m.NumSSDs)
+	for i := range per {
+		per[i] = base.SSDTotal / float64(m.NumSSDs)
+	}
+	for name, d := range map[string]*Demand{
+		"hbm-toggle":  {PerGPU: base.PerGPU, DRAM: base.DRAM, SSDTotal: base.SSDTotal + sum(base.HBMPeer)},
+		"ssd-pinning": {PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, DRAM: base.DRAM, SSDPer: per},
+	} {
+		got := epochTime(t, reprice(t, n, d))
+		if want := epochTime(t, build(t, m, topology.LayoutA, d)); got != want {
+			t.Errorf("%s: repriced solve %v, rebuilt %v", name, got, want)
+		}
+	}
 	want := epochTime(t, build(t, m, topology.LayoutA, base))
-	if got := epochTime(t, n); math.Abs(got-want) > 1e-3*want {
-		t.Fatalf("solve %v after rejected patches, want %v", got, want)
+	if got := epochTime(t, reprice(t, n, base)); got != want {
+		t.Fatalf("solve %v after structural repricing, want %v", got, want)
 	}
 }
 
-// TestPatchDemandPinnedSSDs exercises the SSDPer branch of PatchDemand.
+func sum(v []float64) float64 {
+	s := 0.0
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
+// TestPatchDemandPinnedSSDs reprices pinned per-SSD budgets (the shape a
+// fault-triggered re-bin produces) through BuildReuse.
 func TestPatchDemandPinnedSSDs(t *testing.T) {
 	m := topology.MachineA()
 	base := demandA(m.NumGPUs)
@@ -160,13 +192,9 @@ func TestPatchDemandPinnedSSDs(t *testing.T) {
 		skew[1] -= per[1] / 2
 	}
 	d2 := &Demand{PerGPU: base.PerGPU, HBMPeer: base.HBMPeer, DRAM: base.DRAM, SSDPer: skew}
-	if err := n.PatchDemand(d2); err != nil {
-		t.Fatal(err)
-	}
-	got := epochTime(t, n)
-	want := epochTime(t, build(t, m, topology.LayoutA, d2))
-	if math.Abs(got-want) > 1e-3*want {
-		t.Fatalf("patched pinned solve %v, rebuilt %v", got, want)
+	got := epochTime(t, reprice(t, n, d2))
+	if want := epochTime(t, build(t, m, topology.LayoutA, d2)); got != want {
+		t.Fatalf("repriced pinned solve %v, rebuilt %v", got, want)
 	}
 }
 
@@ -236,5 +264,30 @@ func TestBuildReuseAllocs(t *testing.T) {
 	})
 	if reuse > fresh/2 {
 		t.Errorf("BuildReuse allocates %.0f/run vs fresh %.0f/run; want < half", reuse, fresh)
+	}
+}
+
+// TestRepeatedSolveAllocs pins the allocation-free repeated solve: once a
+// BuildReuse'd network has solved, solving it again — every max-flow solve
+// and Newton step of the min-time search — allocates nothing.
+func TestRepeatedSolveAllocs(t *testing.T) {
+	m := topology.MachineB()
+	p, err := topology.ClassicPlacement(m, topology.LayoutC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := BuildReuse(m, p, demandA(m.NumGPUs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := n.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("repeated Solve allocates %.1f times per run, want 0", avg)
 	}
 }

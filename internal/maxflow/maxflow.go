@@ -3,8 +3,8 @@
 // (paper §3.2). Three solvers are provided — Edmonds–Karp, Dinic, and FIFO
 // push–relabel — along with minimum-cut extraction, flow decomposition into
 // source→sink paths (used to turn a flow into per-link traffic assignments),
-// and the time-bisection feasibility procedure the paper uses to score
-// hardware placement candidates.
+// and the minimum-time search the paper uses to score hardware placement
+// candidates (TimeBisector).
 //
 // Capacities are float64 (bytes or bytes/second); comparisons use a small
 // epsilon so profiled bandwidths compose without spurious infeasibility.
@@ -37,12 +37,12 @@ type Graph struct {
 	resid []float64 // remaining (residual) capacity
 	label []string  // optional node labels for diagnostics
 	stats SolveStats
-	// gen is bumped by every operation that changes capacities, flow, or
-	// structure. Consumers that cache conclusions about the graph's state
-	// (the TimeBisector's warm flow) record the generation they observed
-	// and treat a mismatch as "the graph moved underneath me". Clone
-	// copies it.
-	gen uint64
+
+	// Dinic scratch, kept so repeated solves allocate nothing. Clone does
+	// not share it.
+	level []int32
+	iter  []int
+	queue []int
 }
 
 // SolveStats counts the work done by this graph's solvers, cumulative over
@@ -61,12 +61,6 @@ type SolveStats struct {
 
 // Stats returns the cumulative solver work counters.
 func (g *Graph) Stats() SolveStats { return g.stats }
-
-// Generation returns a counter that advances on every mutation of the
-// graph — capacity writes, flow changes (solves, Reset), and structural
-// edits. Two reads returning the same value bracket a window in which the
-// graph was untouched.
-func (g *Graph) Generation() uint64 { return g.gen }
 
 // New returns an empty flow network with n nodes, numbered 0..n-1.
 func New(n int) *Graph {
@@ -124,12 +118,11 @@ func (g *Graph) AddEdge(u, v int, capacity float64) EdgeID {
 	g.resid = append(g.resid, capacity, 0)
 	g.head[u] = append(g.head[u], id)
 	g.head[v] = append(g.head[v], id^1)
-	g.gen++
 	return id
 }
 
 // SetCapacity resets edge e's capacity and clears any flow on it.
-// Typically used between bisection probes; call Reset to clear all flow.
+// Typically used between min-time solves; call Reset to clear all flow.
 // Only forward edge ids returned by AddEdge are accepted: writing through a
 // residual companion (odd id) would desynchronize cap/resid bookkeeping and
 // silently corrupt every subsequent solve.
@@ -141,7 +134,6 @@ func (g *Graph) SetCapacity(e EdgeID, capacity float64) {
 	g.cap[e] = capacity
 	g.resid[e] = capacity
 	g.resid[e^1] = 0
-	g.gen++
 }
 
 // checkForwardEdge panics when e is out of range or names a residual
@@ -176,49 +168,12 @@ func (g *Graph) Endpoints(e EdgeID) (int, int) {
 	return int(g.to[e^1]), int(g.to[e])
 }
 
-// RaiseCapacity increases edge e's capacity without disturbing the flow
-// currently routed on it (SetCapacity clears the edge's flow). Decreases
-// are rejected: shrinking a capacity under live flow could leave negative
-// residuals, so lowering requires SetCapacity (which resets flow). New
-// capacities within Eps of the current one are a no-op.
-func (g *Graph) RaiseCapacity(e EdgeID, capacity float64) {
-	g.checkForwardEdge(e, "RaiseCapacity")
-	if capacity < 0 || math.IsNaN(capacity) {
-		panic(fmt.Sprintf("maxflow: invalid capacity %v", capacity))
-	}
-	cur := g.cap[e]
-	if math.IsInf(cur, 1) {
-		if !math.IsInf(capacity, 1) {
-			panic(fmt.Sprintf("maxflow: RaiseCapacity would lower edge %d from +Inf to %v", e, capacity))
-		}
-		return
-	}
-	if capacity < cur-Eps {
-		panic(fmt.Sprintf("maxflow: RaiseCapacity would lower edge %d from %v to %v", e, cur, capacity))
-	}
-	if math.IsInf(capacity, 1) {
-		// Flow on an infinite edge is tracked via the reverse residual,
-		// which already holds the routed amount; only the forward side
-		// becomes unbounded.
-		g.cap[e] = capacity
-		g.resid[e] = capacity
-		g.gen++
-		return
-	}
-	if delta := capacity - cur; delta > 0 {
-		g.cap[e] = capacity
-		g.resid[e] += delta
-		g.gen++
-	}
-}
-
 // Reset clears all flow, restoring every edge's residual to its capacity.
 func (g *Graph) Reset() {
 	for e := 0; e < len(g.cap); e += 2 {
 		g.resid[e] = g.cap[e]
 		g.resid[e+1] = 0
 	}
-	g.gen++
 }
 
 // Clear empties the graph — zero nodes, zero edges — while retaining every
@@ -236,7 +191,6 @@ func (g *Graph) Clear() {
 	g.resid = g.resid[:0]
 	g.label = g.label[:0]
 	g.n = 0
-	g.gen++
 }
 
 // Clone returns a deep copy of the graph including current flow.
@@ -249,7 +203,6 @@ func (g *Graph) Clone() *Graph {
 		resid: append([]float64(nil), g.resid...),
 		label: append([]string(nil), g.label...),
 		stats: g.stats,
-		gen:   g.gen,
 	}
 	for v := range g.head {
 		c.head[v] = append([]EdgeID(nil), g.head[v]...)
@@ -292,40 +245,12 @@ func (g *Graph) MaxFlow(s, t int, solver Solver) float64 {
 		panic("maxflow: source equals sink")
 	}
 	g.stats.Solves++
-	g.gen++
 	g.Reset()
 	switch solver {
 	case EdmondsKarp:
 		return g.edmondsKarp(s, t)
 	case PushRelabel:
 		return g.pushRelabel(s, t)
-	default:
-		return g.dinic(s, t)
-	}
-}
-
-// Augment extends whatever valid flow currently sits on the graph to a
-// maximum flow, without clearing it first, and returns only the additional
-// amount routed. This is the warm-start primitive: a feasible flow plus the
-// absence of augmenting paths is a maximum flow (Ford–Fulkerson), so
-// continuing from a previous solve after capacities were raised (see
-// RaiseCapacity) yields the same value as a cold solve. The starting state
-// must be a valid flow — conservation at every internal node — which every
-// completed MaxFlow/Augment leaves behind; push–relabel continuations run
-// Dinic on the residual network, since PushRelabel's preflow initialization
-// assumes empty edges.
-func (g *Graph) Augment(s, t int, solver Solver) float64 {
-	if s < 0 || s >= g.n || t < 0 || t >= g.n {
-		panic(fmt.Sprintf("maxflow: terminal out of range: s=%d t=%d n=%d", s, t, g.n))
-	}
-	if s == t {
-		panic("maxflow: source equals sink")
-	}
-	g.stats.Solves++
-	g.gen++
-	switch solver {
-	case EdmondsKarp:
-		return g.edmondsKarp(s, t)
 	default:
 		return g.dinic(s, t)
 	}
@@ -383,19 +308,18 @@ func (g *Graph) edmondsKarp(s, t int) float64 {
 
 func (g *Graph) dinic(s, t int) float64 {
 	total := 0.0
-	level := make([]int32, g.n)
-	iter := make([]int, g.n)
-	queue := make([]int, 0, g.n)
+	g.level = resize(g.level, g.n)
+	g.iter = resize(g.iter, g.n)
+	level, iter := g.level, g.iter
 	for {
 		// Build level graph.
 		for i := range level {
 			level[i] = -1
 		}
 		level[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue := append(g.queue[:0], s)
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
 			for _, e := range g.head[u] {
 				v := int(g.to[e])
 				if level[v] < 0 && g.resid[e] > Eps {
@@ -404,12 +328,11 @@ func (g *Graph) dinic(s, t int) float64 {
 				}
 			}
 		}
+		g.queue = queue
 		if level[t] < 0 {
 			return total
 		}
-		for i := range iter {
-			iter[i] = 0
-		}
+		clear(iter)
 		for {
 			f := g.dinicDFS(s, t, Inf, level, iter)
 			if f <= Eps {
@@ -620,19 +543,7 @@ func (g *Graph) finiteCapSum() float64 {
 // edges' capacities equals the max-flow value (max-flow min-cut theorem).
 func (g *Graph) MinCut(s int) (edges []EdgeID, sourceSide []bool) {
 	sourceSide = make([]bool, g.n)
-	queue := []int{s}
-	sourceSide[s] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.head[u] {
-			v := int(g.to[e])
-			if !sourceSide[v] && g.resid[e] > Eps {
-				sourceSide[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
+	g.reach(s, sourceSide, nil)
 	for e := EdgeID(0); int(e) < len(g.to); e += 2 {
 		u, v := g.Endpoints(e)
 		if sourceSide[u] && !sourceSide[v] {
@@ -640,6 +551,24 @@ func (g *Graph) MinCut(s int) (edges []EdgeID, sourceSide []bool) {
 		}
 	}
 	return edges, sourceSide
+}
+
+// reach marks in side (len g.n) the nodes reachable from s along edges
+// with residual capacity, using queue as scratch, and returns the queue
+// for reuse.
+func (g *Graph) reach(s int, side []bool, queue []int) []int {
+	clear(side)
+	side[s] = true
+	queue = append(queue[:0], s)
+	for i := 0; i < len(queue); i++ {
+		for _, e := range g.head[queue[i]] {
+			if v := int(g.to[e]); !side[v] && g.resid[e] > Eps {
+				side[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	return queue
 }
 
 // Path is one source→sink flow path with the amount routed along it.

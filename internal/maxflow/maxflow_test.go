@@ -402,8 +402,8 @@ func TestBisectionMonotoneInDemandProperty(t *testing.T) {
 		}
 		b1, _ := build(d1)
 		b2, _ := build(d2)
-		t1, err1 := b1.MinTime(1e-6)
-		t2, err2 := b2.MinTime(1e-6)
+		t1, err1 := b1.MinTime()
+		t2, err2 := b2.MinTime()
 		if err1 != nil || err2 != nil {
 			return false
 		}

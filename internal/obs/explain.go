@@ -12,7 +12,7 @@ import (
 
 // Explain is a per-request provenance trail: the planner appends one step
 // per decision it makes — candidates enumerated and pruned (with reasons),
-// score-cache and warm-start hits, bisector work, knapsack fills, the final
+// score-cache hits, min-time solver work, knapsack fills, the final
 // score breakdown — and the caller renders or serializes the collected
 // trail. It answers "why this plan" the way the flight recorder answers
 // "what just happened": per-decision rather than aggregate.

@@ -30,7 +30,7 @@ const (
 	EvFault
 	// EvCache is a cache hit or miss (plan cache, score cache, layouts).
 	EvCache
-	// EvProbeAbort is a bisection probe abandoned by cancellation.
+	// EvProbeAbort is a max-flow solve abandoned by cancellation.
 	EvProbeAbort
 	// EvWatchdog is an anomaly-watchdog rule trip.
 	EvWatchdog

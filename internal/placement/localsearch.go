@@ -27,8 +27,6 @@ type LocalSearchOptions struct {
 	MaxSteps int
 	// Seed makes the search reproducible.
 	Seed int64
-	// Tolerance is the bisection tolerance (default 1e-4).
-	Tolerance float64
 	// Cache, when non-nil, memoizes candidate scores under the same keys
 	// as Search (canonical class + machine/demand fingerprints), so hill
 	// climbing that revisits a placement class — across restarts or across
@@ -53,9 +51,6 @@ func (o LocalSearchOptions) defaults() LocalSearchOptions {
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 200
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-4
 	}
 	return o
 }
@@ -122,7 +117,7 @@ func LocalSearch(m *topology.Machine, d *flownet.Demand, opt LocalSearchOptions)
 
 	prefix := ""
 	if opt.Cache != nil {
-		prefix = cachePrefix(m, d, opt.Tolerance, opt.FaultsKey)
+		prefix = cachePrefix(m, d, opt.FaultsKey)
 	}
 	evaluations := 0
 	cacheHits := 0
@@ -135,7 +130,7 @@ func LocalSearch(m *topology.Machine, d *flownet.Demand, opt LocalSearchOptions)
 		}
 		scratch = n
 		n.SetObserver(o)
-		t, err := n.SolveTol(opt.Tolerance)
+		t, err := n.Solve()
 		if err != nil {
 			o.Counter("placement_candidates_infeasible_total").Inc()
 			return 0, false

@@ -170,8 +170,6 @@ func dedupe(m *topology.Machine, ps []*topology.Placement, keepAll bool) (kept [
 
 // Options tunes the placement search.
 type Options struct {
-	// Tolerance is the relative bisection tolerance (default 1e-4).
-	Tolerance float64
 	// Parallelism bounds concurrent candidate evaluations
 	// (default GOMAXPROCS). With 1 every candidate is scored in the
 	// caller's goroutine; results are identical at every setting.
@@ -196,14 +194,14 @@ type Options struct {
 	Observer *obs.Observer
 	// Explain, when non-nil, receives a per-decision provenance trail:
 	// candidates pruned (with reasons), score-cache hits, per-candidate
-	// bisection work, and run-level summaries. Steps carry the candidate's
+	// min-time work, and run-level summaries. Steps carry the candidate's
 	// enumeration index, so the rendered trail is deterministic for a fixed
 	// machine/demand at any Parallelism. Nil (the default) costs nothing on
 	// the hot path.
 	Explain *obs.Explain
 	// Ctx, when non-nil, cancels an in-flight search: no further
-	// candidate is scored, in-flight bisections stop at their next probe
-	// (see maxflow.TimeBisector.Ctx), and Search returns the context's
+	// candidate is scored, in-flight min-time searches stop at their next
+	// solve (see maxflow.TimeBisector.Ctx), and Search returns the context's
 	// error. An abandoned caller — a disconnected planning request, a
 	// timed-out RPC — therefore stops consuming CPU instead of running the
 	// search to completion. Canceled evaluations are never written to
@@ -248,31 +246,24 @@ type scoredCand struct {
 
 // CacheKey returns the score-cache key under which Search, LocalSearch, and
 // replans memoize candidate p's predicted time: the canonical placement
-// class prefixed with machine-rate and demand fingerprints plus the
-// bisection tolerance, so one shared cache serves different machines,
-// demands, and tolerances without collisions.
-func CacheKey(m *topology.Machine, p *topology.Placement, d *flownet.Demand, tol float64) (string, error) {
-	return CacheKeyFaults(m, p, d, tol, "")
-}
-
-// CacheKeyFaults is CacheKey for searches run under an injected fault
-// schedule: faultsKey (Options.FaultsKey, typically faults.Format output)
-// joins the prefix so schedules with identical machine/demand fingerprints
-// occupy disjoint cache keyspaces.
-func CacheKeyFaults(m *topology.Machine, p *topology.Placement, d *flownet.Demand, tol float64, faultsKey string) (string, error) {
+// class prefixed with machine-rate, demand and fault-schedule fingerprints
+// (faultsKey is Options.FaultsKey, typically faults.Format output), so one
+// shared cache serves different machines, demands and schedules without
+// collisions.
+func CacheKey(m *topology.Machine, p *topology.Placement, d *flownet.Demand, faultsKey string) (string, error) {
 	key, err := CanonicalKey(m, p)
 	if err != nil {
 		return "", err
 	}
-	return cachePrefix(m, d, tol, faultsKey) + key, nil
+	return cachePrefix(m, d, faultsKey) + key, nil
 }
 
 // cachePrefix fingerprints everything that determines a candidate's score
 // besides its canonical placement class: the machine's link rates and
 // device counts (CanonicalKey covers attach-point structure but not fabric
 // bandwidths — two machines can differ only in QPIBW), the demand vector,
-// the tolerance, and the fault schedule the scores were computed under.
-func cachePrefix(m *topology.Machine, d *flownet.Demand, tol float64, faultsKey string) string {
+// and the fault schedule the scores were computed under.
+func cachePrefix(m *topology.Machine, d *flownet.Demand, faultsKey string) string {
 	h := scorecache.NewHasher()
 	h.Float(float64(m.QPIBW)).Float(float64(m.DRAMBW))
 	h.Float(float64(m.PCIeX16)).Float(float64(m.PCIeX4))
@@ -282,7 +273,6 @@ func cachePrefix(m *topology.Machine, d *flownet.Demand, tol float64, faultsKey 
 	for _, nv := range m.NVLinks {
 		h.Uint(uint64(nv.A)).Uint(uint64(nv.B))
 	}
-	h.Float(tol)
 	h.String(faultsKey)
 	return fmt.Sprintf("%x|%x|", h.Sum(), d.Fingerprint())
 }
@@ -327,7 +317,7 @@ func (c *collector) add(s scoredCand) {
 }
 
 // Search enumerates placements, reduces symmetry, scores every survivor by
-// time-bisection max-flow under demand d, and returns the fastest.
+// its exact max-flow minimum time under demand d, and returns the fastest.
 //
 // Enumeration and dedupe (canonical-key isomorphic reduction) run in the
 // caller's goroutine. Scoring is a parallel map over the deduped
@@ -336,9 +326,6 @@ func (c *collector) add(s scoredCand) {
 // are infeasible (disconnected demand) are skipped; with Options.Cache,
 // previously seen candidates skip the max-flow solve entirely.
 func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error) {
-	if opt.Tolerance <= 0 {
-		opt.Tolerance = 1e-4
-	}
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -376,7 +363,7 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 		st.ex.Add(obs.ExplainStep{Seq: i, Stage: "prune", Subject: ps[i].Name, Reason: "isomorphic-duplicate"})
 	}
 	if opt.Cache != nil {
-		st.prefix = cachePrefix(m, d, opt.Tolerance, opt.FaultsKey)
+		st.prefix = cachePrefix(m, d, opt.FaultsKey)
 	}
 	results := scoreAll(st, kept)
 	if opt.Ctx != nil {
@@ -439,7 +426,7 @@ func Search(m *topology.Machine, d *flownet.Demand, opt Options) (*Result, error
 // min(Parallelism, len(kept)) workers claim indices from a shared counter,
 // each threading its own scratch network through flownet.BuildReuse; a
 // single worker runs inline in the caller's goroutine. Once Ctx is canceled
-// every worker stops before its next candidate (an in-flight bisection
+// every worker stops before its next candidate (an in-flight min-time search
 // sees the same context), leaving the remaining results unset — Search
 // then returns the context's error instead of folding them.
 func scoreAll(st *searchState, kept []cand) []scoredCand {
@@ -544,7 +531,7 @@ func isCanceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// score evaluates one candidate by time-bisection max-flow, rebuilding into
+// score evaluates one candidate by its max-flow minimum time, rebuilding into
 // the worker's scratch network (flownet.BuildReuse) to keep the hot loop
 // out of the allocator. It returns the network used so the caller can
 // thread it into the next evaluation.
@@ -563,8 +550,8 @@ func score(st *searchState, c cand, scratch *flownet.Network) (Scored, *flownet.
 	}
 	n.SetObserver(o)
 	n.SetContext(st.opt.Ctx)
-	t, err := n.SolveTol(st.opt.Tolerance)
-	probes, iters, _, _ := n.SolveCounters()
+	t, err := n.Solve()
+	probes, iters := n.SolveCounters()
 	if err != nil {
 		sp.SetStr("error", err.Error())
 		if !isCanceled(err) {

@@ -204,7 +204,7 @@ func (c *Cache[K, V]) pushFront(i int) {
 	}
 }
 
-// Score is one memoized placement evaluation: the bisection result (seconds)
+// Score is one memoized placement evaluation: the min-time result (seconds)
 // or the fact that the candidate was infeasible. Err carries the infeasible
 // reason for diagnostics; feasibility, not the message, drives planning.
 type Score struct {

@@ -99,7 +99,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Machine:  cr.machine,
 		Workload: cr.wl,
 		Search: placement.Options{
-			Tolerance:   cr.tol,
 			Parallelism: 1,
 			Explain:     ex,
 			Ctx:         ctx,

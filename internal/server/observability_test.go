@@ -112,6 +112,28 @@ func TestFlightDisabledEndpoint(t *testing.T) {
 	}
 }
 
+// TestDefaultWatchdogRules pins the default rule set: a shed storm, queue
+// saturation at 90% of the queue, and an epoch-time regression.
+func TestDefaultWatchdogRules(t *testing.T) {
+	rules := DefaultWatchdogRules(Config{QueueDepth: 40})
+	want := []struct{ name, series string }{
+		{"shed-storm", "momentd_shed_total"},
+		{"queue-saturated", "momentd_queue_depth"},
+		{"epoch-regress", "trainsim_epoch_seconds"},
+	}
+	if len(rules) != len(want) {
+		t.Fatalf("%d default rules, want %d: %+v", len(rules), len(want), rules)
+	}
+	for i, w := range want {
+		if rules[i].Name != w.name || rules[i].Series != w.series {
+			t.Errorf("rule %d = %s on %s, want %s on %s", i, rules[i].Name, rules[i].Series, w.name, w.series)
+		}
+	}
+	if rules[1].Max != 36 {
+		t.Errorf("queue-saturated max %v, want 36 (90%% of QueueDepth 40)", rules[1].Max)
+	}
+}
+
 // TestWatchdogShedStorm is the watchdog end-to-end: block the single
 // worker, fill the one queue slot, shed a deterministic burst past the
 // rule's delta bound, and assert that exactly one diagnostics bundle

@@ -616,6 +616,9 @@ func TestBadRequests(t *testing.T) {
 		{"bad spec", `{"machine_spec":"gibberish","workload":{"dataset":"PA"}}`, http.StatusBadRequest},
 		{"negative deadline", `{"machine":"B","workload":{"dataset":"PA"},"deadline_ms":-5}`, http.StatusBadRequest},
 		{"batch over train set", `{"machine":"B","workload":{"dataset":"PA","batch_size":1099511627776}}`, http.StatusBadRequest},
+		// The search takes no tolerance (min time is exact); the strict
+		// decoder rejects the field instead of ignoring it.
+		{"removed tolerance", `{"machine":"B","workload":{"dataset":"PA"},"search":{"tolerance":1e-3}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

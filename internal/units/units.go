@@ -134,8 +134,8 @@ func (bw Bandwidth) TimeFor(n Bytes) Duration {
 }
 
 // Duration is simulated time in seconds. The simulator uses float seconds
-// rather than time.Duration to avoid overflow and precision cliffs when
-// bisection probes very long horizons.
+// rather than time.Duration to avoid overflow and precision cliffs on very
+// long horizons.
 type Duration float64
 
 // Seconds constructs a Duration from seconds.

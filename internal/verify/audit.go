@@ -166,7 +166,7 @@ func CheckSearchResult(m *topology.Machine, d *flownet.Demand, opt placement.Opt
 	if err != nil {
 		return fmt.Errorf("verify: winner does not rebuild: %w", err)
 	}
-	t2, err := n.SolveTol(opt.Tolerance)
+	t2, err := n.Solve()
 	if err != nil {
 		return fmt.Errorf("verify: winner does not re-solve: %w", err)
 	}
