@@ -18,6 +18,8 @@ import (
 //  3. stays within a bounded fast-tier hit-rate gap of the full
 //     re-solve — the delta trades layout optimality for migration
 //     bytes, but never collapses.
+//  4. equals the rescan-and-resort oracle (placeItemsDeltaOracle) field
+//     for field, since fuzzed item sizes are integral.
 func FuzzPlaceItemsDelta(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(0), uint8(10), uint8(10), uint8(0))
 	f.Add(int64(2), uint16(500), uint8(1), uint8(50), uint8(1), uint8(1))
@@ -156,6 +158,15 @@ func FuzzPlaceItemsDelta(f *testing.F) {
 		fHit := full.HitRateItems(TierGPU) + full.HitRateItems(TierCPU)
 		if fHit-dHit > 0.25 {
 			t.Fatalf("delta fast-tier hit %.4f trails full %.4f by more than 0.25", dHit, fHit)
+		}
+
+		// (4) the sorted-window repair matches the oracle bit for bit.
+		want, err := placeItemsDeltaOracle(items, prev, drifted, bins, pool, trafficScale, DeltaOptions{})
+		if err != nil {
+			t.Fatalf("oracle failed where the delta did not: %v", err)
+		}
+		if diff := deltaMismatch(res, want); diff != "" {
+			t.Fatalf("delta differs from the oracle: %s", diff)
 		}
 
 		// No drift at all must be a zero-move no-op.

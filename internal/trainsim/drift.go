@@ -213,8 +213,9 @@ type DriftReport struct {
 	FinalHitFast float64
 }
 
-// applyDrift perturbs hot in place for event number ev (0-based).
-func applyDrift(hot []float64, s DriftSchedule, rng *rand.Rand, ev int) {
+// Apply perturbs hot in place for event number ev (0-based); rng carries
+// DriftShuffle's swaps from one event to the next.
+func (s DriftSchedule) Apply(hot []float64, rng *rand.Rand, ev int) {
 	n := len(hot)
 	if n < 2 {
 		return
@@ -335,6 +336,54 @@ func servedSig(served []float64) string {
 	return b.String()
 }
 
+// checkDriftConfig rejects configurations the drift harness cannot run.
+func checkDriftConfig(cfg Config) error {
+	if cfg.Policy != PolicyDDAK {
+		return fmt.Errorf("trainsim: drift simulation requires PolicyDDAK")
+	}
+	if cfg.Cache != CachePartitioned {
+		return fmt.Errorf("trainsim: drift simulation requires CachePartitioned")
+	}
+	if cfg.Faults != nil && !cfg.Faults.Empty() {
+		return fmt.Errorf("trainsim: drift simulation does not compose with fault schedules")
+	}
+	return nil
+}
+
+// DeltaInstance is the DDAK problem the adaptive drift loop re-solves
+// incrementally: the placed items at their planned hotness and the bins
+// with their fabric-fair traffic budgets, as SimulateDriftEpochs hands
+// them to its Replanner. It lets ddak.PlaceItemsDelta be tested and
+// benchmarked on a real machine's instance outside the loop.
+type DeltaInstance struct {
+	Items []ddak.Item
+	Bins  []ddak.Bin
+	PoolN int
+	// TrafficScale is the bytes fetched per epoch (ddak's trafficScale).
+	TrafficScale float64
+}
+
+// DriftDeltaInstance plans cfg as SimulateDriftEpochs does and returns the
+// instance its delta re-solves start from.
+func DriftDeltaInstance(cfg Config) (*DeltaInstance, error) {
+	if err := checkDriftConfig(cfg); err != nil {
+		return nil, err
+	}
+	es, oom, err := placeAndSpecs(cfg, obs.Active(cfg.Observer), nil)
+	if err != nil {
+		return nil, err
+	}
+	if oom != nil {
+		return nil, fmt.Errorf("trainsim: drift configuration cannot run: %s", oom.OOM)
+	}
+	return &DeltaInstance{
+		Items:        es.placeItems,
+		Bins:         es.bins,
+		PoolN:        es.cfg.PoolN,
+		TrafficScale: es.pl.fetchEpoch,
+	}, nil
+}
+
 // SimulateDriftEpochs simulates opt.Epochs back-to-back epochs while
 // opt.Schedule perturbs the live hotness distribution, closing the adaptive
 // loop around the layout (or replaying the from-scratch oracle when
@@ -345,14 +394,8 @@ func SimulateDriftEpochs(cfg Config, opt DriftOptions) (*DriftReport, error) {
 	if err := opt.Schedule.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Policy != PolicyDDAK {
-		return nil, fmt.Errorf("trainsim: drift simulation requires PolicyDDAK")
-	}
-	if cfg.Cache != CachePartitioned {
-		return nil, fmt.Errorf("trainsim: drift simulation requires CachePartitioned")
-	}
-	if cfg.Faults != nil && !cfg.Faults.Empty() {
-		return nil, fmt.Errorf("trainsim: drift simulation does not compose with fault schedules")
+	if err := checkDriftConfig(cfg); err != nil {
+		return nil, err
 	}
 	if opt.Epochs <= 0 {
 		opt.Epochs = 1
@@ -490,7 +533,7 @@ func SimulateDriftEpochs(cfg Config, opt DriftOptions) (*DriftReport, error) {
 	for e := 0; e < opt.Epochs; e++ {
 		drifted := false
 		if !opt.Schedule.Empty() && e > 0 && e%opt.Schedule.Every == 0 {
-			applyDrift(live, opt.Schedule, rng, rep.DriftEvents)
+			opt.Schedule.Apply(live, rng, rep.DriftEvents)
 			rep.DriftEvents++
 			drifted = true
 			if o.FlightEnabled() {

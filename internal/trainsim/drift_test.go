@@ -207,8 +207,8 @@ func TestApplyDriftProperties(t *testing.T) {
 		b := append([]float64(nil), base...)
 		rngA := newDriftRng(5)
 		rngB := newDriftRng(5)
-		applyDrift(a, s, rngA, 0)
-		applyDrift(b, s, rngB, 0)
+		s.Apply(a, rngA, 0)
+		s.Apply(b, rngB, 0)
 		// The first event must actually change the distribution (later
 		// events may legitimately undo it: flip and oscillate are
 		// involutions).
@@ -223,8 +223,8 @@ func TestApplyDriftProperties(t *testing.T) {
 			t.Errorf("%s: first event left the distribution untouched", kind)
 		}
 		for ev := 1; ev < 4; ev++ {
-			applyDrift(a, s, rngA, ev)
-			applyDrift(b, s, rngB, ev)
+			s.Apply(a, rngA, ev)
+			s.Apply(b, rngB, ev)
 		}
 		// Deterministic under the seed.
 		for i := range a {
@@ -244,8 +244,8 @@ func TestApplyDriftProperties(t *testing.T) {
 	// Oscillate is its own inverse: two events restore the base exactly.
 	s := DriftSchedule{Every: 1, Kind: DriftOscillate, Mag: 0.3, Seed: 5}
 	a := append([]float64(nil), base...)
-	applyDrift(a, s, newDriftRng(5), 0)
-	applyDrift(a, s, newDriftRng(5), 1)
+	s.Apply(a, newDriftRng(5), 0)
+	s.Apply(a, newDriftRng(5), 1)
 	for i := range a {
 		if a[i] != base[i] {
 			t.Fatalf("oscillate did not return to base at %d", i)
