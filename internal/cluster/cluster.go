@@ -194,14 +194,19 @@ func Simulate(cfg Config) (*Result, error) {
 			shardBytes/(1<<40), cfg.Replication, nodeSSD/(1<<40))}, nil
 	}
 
-	// Hardware placement: search once, replicate (homogeneous nodes).
+	// Hardware placement: search once, replicate (homogeneous nodes). The
+	// search's workload profile is the node epoch's too, since both plan
+	// the node's batch share (Config.Stats recomputes it when the node's
+	// simulation knobs resolve to a different profile).
 	placement := cfg.Placement
+	stats := cfg.Sim.Stats
 	if placement == nil {
-		plan, err := core.CoOptimize(core.Input{Machine: cfg.Node, Workload: w})
+		plan, err := core.CoOptimize(core.Input{Machine: cfg.Node, Workload: w, Observer: cfg.Sim.Observer})
 		if err != nil {
 			return nil, err
 		}
 		placement = plan.Placement
+		stats = plan.Epoch.Stats
 	}
 
 	// Intra-node epoch: the node behaves like a single machine consuming
@@ -213,6 +218,7 @@ func Simulate(cfg Config) (*Result, error) {
 	simCfg.Placement = placement
 	simCfg.Workload = w
 	simCfg.StorageShardFrac = shardFrac
+	simCfg.Stats = stats
 	node, err := trainsim.SimulateEpoch(simCfg)
 	if err != nil {
 		return nil, err
@@ -220,6 +226,7 @@ func Simulate(cfg Config) (*Result, error) {
 	if node.OOM != "" {
 		return &Result{OOM: node.OOM}, nil
 	}
+	simCfg.Stats = node.Stats
 
 	// Network volume: the SSD-tier tail of the access distribution,
 	// minus the replicated head, times the cross-node probability.

@@ -112,6 +112,9 @@ func CoOptimize(in Input) (*Plan, error) {
 	simCfg := in.Sim
 	simCfg.Machine = in.Machine
 	simCfg.Workload = in.Workload
+	if simCfg.Observer == nil {
+		simCfg.Observer = scoped
+	}
 	// Demand construction needs *some* valid placement; use the first
 	// enumerated candidate.
 	cands, err := placement.Enumerate(in.Machine)
@@ -123,11 +126,14 @@ func CoOptimize(in Input) (*Plan, error) {
 	}
 	simCfg.Placement = cands[0]
 	demSp := sp.Child("demand")
-	dem, _, err := trainsim.PlanDemand(simCfg)
+	dem, stats, err := trainsim.PlanDemand(simCfg)
 	demSp.End()
 	if err != nil {
 		return nil, err
 	}
+	// The workload profile depends neither on the placement nor on the
+	// search, so the epoch simulation of the winner reuses it.
+	simCfg.Stats = stats
 	searchOpt := in.Search
 	if searchOpt.Observer == nil {
 		searchOpt.Observer = scoped
@@ -150,9 +156,6 @@ func CoOptimize(in Input) (*Plan, error) {
 
 	// Step 4: DDAK data placement + epoch simulation under the winner.
 	simCfg.Placement = res.Best
-	if simCfg.Observer == nil {
-		simCfg.Observer = scoped
-	}
 	epoch, err := trainsim.SimulateEpoch(simCfg)
 	if err != nil {
 		return nil, err

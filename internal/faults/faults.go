@@ -109,7 +109,7 @@ func (e Event) activeAt(t float64) bool {
 
 // Validate checks one event's fields.
 func (e Event) Validate() error {
-	if math.IsNaN(e.At) || e.At < 0 {
+	if math.IsNaN(e.At) || math.IsInf(e.At, 0) || e.At < 0 {
 		return fmt.Errorf("faults: %s event at invalid time %v", e.Kind, e.At)
 	}
 	if math.IsNaN(e.Duration) || e.Duration < 0 {

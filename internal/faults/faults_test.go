@@ -172,6 +172,7 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 		{Kind: Straggler, GPU: -1, At: 1, Factor: 0.5},
 		{Kind: Throttle, SSD: 0, At: -1, Factor: 0.5},
 		{Kind: Throttle, SSD: 0, At: math.NaN(), Factor: 0.5},
+		{Kind: FailStop, SSD: 0, At: math.Inf(1)},
 	}
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {
@@ -238,6 +239,12 @@ func TestParseErrors(t *testing.T) {
 		"seed=abc",
 		"straggle:gpu@1x0.5",
 		"errburst:ssd0@1p0.5x2junk",
+		// A modifier the kind does not take (Format could not render it).
+		"kill:ssd0@1x0.5",
+		"kill:ssd0@1+5",
+		"throttle:ssd0@1p0.5",
+		"errburst:ssd0@1x0.5",
+		"kill:ssd0@inf",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) should fail", spec)

@@ -93,7 +93,10 @@ func parseEvent(clause string) (Event, error) {
 		ev.SSD = d
 	}
 	// timing: start[x factor|p prob][+duration]
-	if plus := strings.IndexByte(timing, '+'); plus >= 0 {
+	if plus := durationSep(timing); plus >= 0 {
+		if kind == FailStop {
+			return Event{}, fmt.Errorf("faults: a fail-stop is permanent; %q has a duration", clause)
+		}
 		dur, err := strconv.ParseFloat(timing[plus+1:], 64)
 		if err != nil {
 			return Event{}, fmt.Errorf("faults: bad duration in %q: %v", clause, err)
@@ -103,6 +106,18 @@ func parseEvent(clause string) (Event, error) {
 	}
 	numEnd := len(timing)
 	if x := strings.IndexAny(timing, "xp"); x >= 0 {
+		// Each kind takes at most one modifier, so Format can render
+		// everything Parse keeps.
+		takes := byte('x')
+		switch kind {
+		case FailStop:
+			takes = 0
+		case ErrorBurst:
+			takes = 'p'
+		}
+		if timing[x] != takes {
+			return Event{}, fmt.Errorf("faults: %s takes no %c value, in %q", verb, timing[x], clause)
+		}
 		val, err := strconv.ParseFloat(timing[x+1:], 64)
 		if err != nil {
 			return Event{}, fmt.Errorf("faults: bad %c value in %q: %v", timing[x], clause, err)
@@ -120,6 +135,18 @@ func parseEvent(clause string) (Event, error) {
 	}
 	ev.At = start
 	return ev, nil
+}
+
+// durationSep returns the index of the '+' that opens a clause's duration,
+// or -1. A '+' right after an 'e' is an exponent sign (Format writes 1e6 s
+// as "1e+06"), not the separator.
+func durationSep(timing string) int {
+	for i := 0; i < len(timing); i++ {
+		if timing[i] == '+' && (i == 0 || (timing[i-1] != 'e' && timing[i-1] != 'E')) {
+			return i
+		}
+	}
+	return -1
 }
 
 // indexedTarget parses "ssd3" / "gpu0" style targets.

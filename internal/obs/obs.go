@@ -113,6 +113,18 @@ func (o *Observer) Histogram(name string, labels ...Label) *Histogram {
 	return o.metrics.Histogram(name, labels...)
 }
 
+// LimitTrace bounds the tracer to its newest `spans` completed spans (see
+// Tracer.SetLimit) and counts the spans it drops on
+// obs_trace_spans_dropped_total. Long-running servers set it; one-shot
+// commands keep every span. Call before sharing the observer across
+// goroutines.
+func (o *Observer) LimitTrace(spans int) {
+	if o == nil || o.tracer == nil {
+		return
+	}
+	o.tracer.SetLimit(spans, o.Counter("obs_trace_spans_dropped_total"))
+}
+
 // EnableFlight attaches a flight recorder holding the most recent `size`
 // events (see NewFlightRecorder for defaults) and points the tracer at it so
 // span completions land on the ring too. Idempotent: a second call returns

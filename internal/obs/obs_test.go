@@ -253,3 +253,53 @@ func TestDefaultObserverFallback(t *testing.T) {
 		t.Error("explicit observer should win over the default")
 	}
 }
+
+// TestLimitTraceKeepsNewest: a bounded span log keeps the newest spans,
+// counts every overwritten one on the _total counter, and reports the
+// count in the trace document; an unbounded log reports none.
+func TestLimitTraceKeepsNewest(t *testing.T) {
+	o := New()
+	o.Begin("early").End()
+	o.Begin("early").End()
+	o.LimitTrace(3) // trims the log to its newest spans on the spot
+	for _, name := range []string{"a", "b", "c", "d"} {
+		o.Begin(name).End()
+	}
+	if got := o.Tracer().Len(); got != 3 {
+		t.Fatalf("bounded log holds %d spans, want 3", got)
+	}
+	names := o.Tracer().SpanNames()
+	if names["b"] != 1 || names["c"] != 1 || names["d"] != 1 {
+		t.Errorf("kept spans %v, want the newest three b, c, d", names)
+	}
+	if got := o.Counter("obs_trace_spans_dropped_total").Value(); got != 3 {
+		t.Errorf("obs_trace_spans_dropped_total = %v, want 3", got)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+		OtherData   map[string]uint64 `json:"otherData"`
+	}
+	var buf bytes.Buffer
+	if err := o.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.TraceEvents) != 3 || doc.OtherData["dropped_spans"] != 3 {
+		t.Errorf("trace has %d events and otherData %v, want 3 and dropped_spans 3",
+			len(doc.TraceEvents), doc.OtherData)
+	}
+
+	buf.Reset()
+	u := New()
+	u.Begin("a").End()
+	if err := u.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("otherData")) {
+		t.Errorf("unbounded trace reports drops: %s", buf.Bytes())
+	}
+	var disabled *Observer
+	disabled.LimitTrace(3) // nil-safe
+}

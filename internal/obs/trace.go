@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,6 +23,33 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	events []spanEvent
+	// A positive limit bounds events to the newest limit spans: once full,
+	// each completed span overwrites the oldest at slot next.
+	limit      int
+	next       int
+	dropped    uint64
+	droppedCtr *Counter
+}
+
+// SetLimit bounds the span log to the newest n completed spans, so a
+// long-running process keeps a fixed trace window instead of every span it
+// ever ended. Each span dropped to make room is counted on dropped
+// (nil-safe) and in the trace document. n <= 0 keeps every span, the
+// default. Nil-safe on a nil tracer.
+func (t *Tracer) SetLimit(n int, dropped *Counter) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Unroll an earlier ring oldest first, then keep the newest n.
+	events := append(slices.Clone(t.events[t.next:]), t.events[:t.next]...)
+	if drop := len(events) - n; n > 0 && drop > 0 {
+		events = events[drop:]
+		t.dropped += uint64(drop)
+		dropped.Add(float64(drop))
+	}
+	t.events, t.limit, t.next, t.droppedCtr = events, n, 0, dropped
 }
 
 // SetFlight mirrors every subsequent span completion onto r as an EvSpan
@@ -152,10 +180,18 @@ func (s *Span) End() {
 		dur:   time.Since(s.tracer.start) - s.start,
 		attrs: s.attrs,
 	}
-	s.tracer.mu.Lock()
-	s.tracer.events = append(s.tracer.events, ev)
-	s.tracer.mu.Unlock()
-	if r := s.tracer.flight.Load(); r != nil {
+	t := s.tracer
+	t.mu.Lock()
+	if t.limit > 0 && len(t.events) >= t.limit {
+		t.events[t.next] = ev
+		t.next = (t.next + 1) % t.limit
+		t.dropped++
+		t.droppedCtr.Inc()
+	} else {
+		t.events = append(t.events, ev)
+	}
+	t.mu.Unlock()
+	if r := t.flight.Load(); r != nil {
 		r.Record(Event{Kind: EvSpan, Name: s.name, V1: ev.dur.Seconds()})
 	}
 }
@@ -186,18 +222,26 @@ type chromeEvent struct {
 type chromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	// OtherData is the format's free-form metadata; a bounded log reports
+	// its dropped_spans there.
+	OtherData map[string]uint64 `json:"otherData,omitempty"`
 }
 
 // WriteTrace exports every completed span as Chrome trace-event JSON.
 // Events are sorted by start time; in-flight (un-Ended) spans are omitted.
+// A bounded log (SetLimit) exports the spans it kept and its drop count.
 func (t *Tracer) WriteTrace(w io.Writer) error {
 	t.mu.Lock()
 	events := make([]spanEvent, len(t.events))
 	copy(events, t.events)
+	var other map[string]uint64
+	if t.limit > 0 {
+		other = map[string]uint64{"dropped_spans": t.dropped}
+	}
 	t.mu.Unlock()
 	sort.SliceStable(events, func(i, j int) bool { return events[i].start < events[j].start })
 
-	out := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(events)), DisplayTimeUnit: "ms"}
+	out := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(events)), DisplayTimeUnit: "ms", OtherData: other}
 	for _, ev := range events {
 		ce := chromeEvent{
 			Name: ev.name,

@@ -376,3 +376,33 @@ func TestExplainDeterministic(t *testing.T) {
 		t.Errorf("GET /v1/explain: code %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestTraceSpanLimit: the server bounds its observer's span log; the
+// spans dropped show in /debug/trace and on /metrics.
+func TestTraceSpanLimit(t *testing.T) {
+	s := newTestServer(t, Config{}, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for i := 0; i < traceSpans+6; i++ {
+		s.Observer().Begin("planner-span").End()
+	}
+	code, raw := getBody(t, ts, "/debug/trace")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/trace: code %d", code)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+		OtherData   map[string]uint64 `json:"otherData"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("bad trace %q: %v", raw, err)
+	}
+	if len(doc.TraceEvents) != traceSpans || doc.OtherData["dropped_spans"] != 6 {
+		t.Errorf("trace has %d spans and otherData %v, want %d and dropped_spans 6",
+			len(doc.TraceEvents), doc.OtherData, traceSpans)
+	}
+	_, raw = getBody(t, ts, "/metrics")
+	if !strings.Contains(string(raw), "obs_trace_spans_dropped_total 6") {
+		t.Errorf("/metrics lacks obs_trace_spans_dropped_total 6:\n%s", raw)
+	}
+}

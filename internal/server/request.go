@@ -132,6 +132,16 @@ type FaultOut struct {
 	Inflation    float64 `json:"inflation"`
 }
 
+// Bounds on the work one request can ask for, checked before any solve:
+// profiling the workload costs a few milliseconds per sampling hop, so an
+// unbounded fanout list would let one small body hold a worker for minutes.
+const (
+	// MaxFanoutHops is the longest accepted fanout list.
+	MaxFanoutHops = 8
+	// MaxFanout is the largest accepted per-hop fanout.
+	MaxFanout = 1000
+)
+
 // canonReq is a validated, canonicalized request: the planner input plus
 // the coalescing key and the response-shaping fields that stay out of it.
 type canonReq struct {
@@ -218,9 +228,15 @@ func canonicalize(req *PlanRequest, defaultDeadline, maxDeadline time.Duration) 
 		return nil, badReq("workload.batch_size %d exceeds dataset %s's %d training vertices",
 			req.Workload.BatchSize, ds.Name, train)
 	}
+	if n := len(req.Workload.Fanouts); n > MaxFanoutHops {
+		return nil, badReq("workload.fanouts has %d hops, at most %d are accepted", n, MaxFanoutHops)
+	}
 	for _, f := range req.Workload.Fanouts {
 		if f <= 0 {
 			return nil, badReq("workload.fanouts must be positive")
+		}
+		if f > MaxFanout {
+			return nil, badReq("workload.fanouts value %d exceeds %d", f, MaxFanout)
 		}
 	}
 	wl := trainsim.Workload{

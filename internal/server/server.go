@@ -96,6 +96,11 @@ type Config struct {
 	Observer *obs.Observer
 }
 
+// traceSpans bounds the server observer's span log: a daemon's trace is the
+// newest this many spans, not every span since start. /debug/trace and
+// obs_trace_spans_dropped_total report the spans dropped.
+const traceSpans = 1 << 16
+
 // DefaultWatchdogRules is the rule set a WatchdogDir-configured server runs
 // with: a shed storm (sheds per check interval), queue saturation, and an
 // epoch-time regression against the learned baseline.
@@ -194,6 +199,7 @@ func New(cfg Config) *Server {
 	if cfg.FlightEvents > 0 {
 		o.EnableFlight(cfg.FlightEvents)
 	}
+	o.LimitTrace(traceSpans)
 	s := &Server{
 		cfg:        cfg,
 		obs:        o,

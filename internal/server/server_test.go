@@ -612,6 +612,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown dataset", `{"machine":"B","workload":{"dataset":"XX"}}`, http.StatusBadRequest},
 		{"bad model", `{"machine":"B","workload":{"dataset":"PA","model":"rnn"}}`, http.StatusBadRequest},
 		{"bad fanout", `{"machine":"B","workload":{"dataset":"PA","fanouts":[0]}}`, http.StatusBadRequest},
+		{"too many hops", `{"machine":"B","workload":{"dataset":"PA","fanouts":[5,5,5,5,5,5,5,5,5]}}`, http.StatusBadRequest},
+		{"fanout too large", `{"machine":"B","workload":{"dataset":"PA","fanouts":[25,1001]}}`, http.StatusBadRequest},
 		{"bad faults", `{"machine":"B","workload":{"dataset":"PA"},"faults":"nonsense"}`, http.StatusBadRequest},
 		{"bad spec", `{"machine_spec":"gibberish","workload":{"dataset":"PA"}}`, http.StatusBadRequest},
 		{"negative deadline", `{"machine":"B","workload":{"dataset":"PA"},"deadline_ms":-5}`, http.StatusBadRequest},
@@ -670,6 +672,40 @@ func TestCanonicalizeBatchBound(t *testing.T) {
 			}
 			if tc.batch != 0 && cr.wl.BatchSize != tc.batch {
 				t.Errorf("batch size %d canonicalized to %d", tc.batch, cr.wl.BatchSize)
+			}
+		})
+	}
+}
+
+// TestCanonicalizeFanoutBounds: fanout lists up to MaxFanoutHops hops of
+// values up to MaxFanout are accepted; one hop or one unit more is a client
+// error, raised by canonicalize before any planner run.
+func TestCanonicalizeFanoutBounds(t *testing.T) {
+	repeat := func(n, v int) []int {
+		f := make([]int, n)
+		for i := range f {
+			f[i] = v
+		}
+		return f
+	}
+	cases := []struct {
+		name    string
+		fanouts []int
+		ok      bool
+	}{
+		{"max hops", repeat(MaxFanoutHops, 2), true},
+		{"max fanout", []int{MaxFanout, 10}, true},
+		{"one hop too many", repeat(MaxFanoutHops+1, 2), false},
+		{"fanout one too large", []int{25, MaxFanout + 1}, false},
+		{"huge list", repeat(500_000, 1), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := &PlanRequest{Machine: "B", Workload: WorkloadSpec{Dataset: "PA", Fanouts: tc.fanouts}}
+			_, err := canonicalize(req, time.Second, 0)
+			var bad errBadRequest
+			if tc.ok != (err == nil) || (err != nil && !errors.As(err, &bad)) {
+				t.Errorf("err = %v, want ok=%v", err, tc.ok)
 			}
 		})
 	}

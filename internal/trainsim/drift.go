@@ -2,6 +2,7 @@ package trainsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -85,7 +86,7 @@ func (s DriftSchedule) Validate() error {
 	if _, ok := driftKindNames[s.Kind]; !ok {
 		return fmt.Errorf("trainsim: unknown drift kind %d", int(s.Kind))
 	}
-	if !s.Empty() && (s.Mag <= 0 || s.Mag > 1) {
+	if math.IsNaN(s.Mag) || !s.Empty() && (s.Mag <= 0 || s.Mag > 1) {
 		return fmt.Errorf("trainsim: drift magnitude %v out of (0,1]", s.Mag)
 	}
 	return nil

@@ -3,6 +3,7 @@ package trainsim
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"moment/internal/ddak"
 	"moment/internal/faults"
@@ -83,6 +84,11 @@ type Config struct {
 
 	// VirtualVertices is the rank-bucket resolution (default 50000).
 	VirtualVertices int
+	// Stats is a workload profile already in hand, e.g. the one PlanDemand
+	// returned for the same plan. It is used only when ComputeStats derived
+	// it from exactly this config's normalized workload (Model aside) and
+	// VirtualVertices; otherwise, and when nil, the profile is computed.
+	Stats *Stats
 	// PoolN is DDAK's pooling factor (default 100, §3.3).
 	PoolN int
 	// CPUCacheVertexFrac is the fraction of vertices cached in CPU memory
@@ -166,7 +172,9 @@ type plan struct {
 
 // PlanDemand exposes the flow-network demand SimulateEpoch plans with, so
 // that placement search can score candidates against the exact workload
-// the runtime will execute.
+// the runtime will execute. The returned profile can ride along in
+// Config.Stats, so the epoch simulation of the same plan does not derive
+// it again.
 func PlanDemand(cfg Config) (*flownet.Demand, *Stats, error) {
 	pl, oom, err := buildPlan(cfg)
 	if err != nil {
@@ -177,6 +185,10 @@ func PlanDemand(cfg Config) (*flownet.Demand, *Stats, error) {
 	}
 	return pl.demand, pl.stats, nil
 }
+
+// freshStats makes buildPlan ignore Config.Stats and derive every profile
+// itself: the reference side of the reuse-vs-fresh differential tests.
+var freshStats atomic.Bool
 
 // buildPlan normalizes the config, checks memory feasibility, derives the
 // workload stats and cache organization, and constructs the flow demand.
@@ -209,9 +221,13 @@ func buildPlan(cfg Config) (*plan, *Result, error) {
 		cfg.Cache = CachePartitioned
 	}
 	cfg.Workload = w
-	stats, err := ComputeStats(w, cfg.VirtualVertices)
-	if err != nil {
-		return nil, nil, err
+	stats := cfg.Stats
+	if stats == nil || freshStats.Load() || !stats.computedFrom(w, cfg.VirtualVertices) {
+		var err error
+		if stats, err = ComputeStats(w, cfg.VirtualVertices); err != nil {
+			return nil, nil, err
+		}
+		obs.Active(cfg.Observer).Counter("trainsim_stats_computed_total").Inc()
 	}
 	d := w.Dataset
 	rowBytes := float64(d.FeatureBytesPerVertex())

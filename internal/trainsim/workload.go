@@ -11,6 +11,7 @@ package trainsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"moment/internal/gnn"
 	"moment/internal/graph"
@@ -70,6 +71,33 @@ type Stats struct {
 	// sum 1); Bytes the embedding storage of the bucket.
 	VirtualHot   []float64
 	VirtualBytes []float64
+
+	// from and nVirtual record what ComputeStats derived the profile from:
+	// the normalized workload without its Model (the model does not enter
+	// the profile) and the resolved bucket count. Config.Stats is reused
+	// only when both match; a hand-built Stats matches nothing.
+	from     Workload
+	nVirtual int
+}
+
+// statsInputs normalizes ComputeStats' inputs to what a profile records.
+func statsInputs(w Workload, nVirtual int) (Workload, int) {
+	w = w.Defaults()
+	w.Model = 0
+	if nVirtual <= 0 {
+		nVirtual = 50_000
+	}
+	return w, nVirtual
+}
+
+// computedFrom reports whether s is exactly the profile ComputeStats
+// derives from (w, nVirtual).
+func (s *Stats) computedFrom(w Workload, nVirtual int) bool {
+	w, nVirtual = statsInputs(w, nVirtual)
+	f := s.from
+	return s.nVirtual == nVirtual && f.Dataset == w.Dataset && f.BatchSize == w.BatchSize &&
+		slices.Equal(f.Fanouts, w.Fanouts) && f.NumGPUs == w.NumGPUs &&
+		f.DedupFactor == w.DedupFactor && f.EpochBatches == w.EpochBatches
 }
 
 // hotDetail is the number of head ranks modeled individually before
@@ -90,9 +118,8 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 	if len(w.Fanouts) == 0 {
 		return nil, fmt.Errorf("trainsim: no fanouts")
 	}
-	if nVirtual <= 0 {
-		nVirtual = 50_000
-	}
+	from, nVirtual := statsInputs(w, nVirtual)
+	from.Fanouts = slices.Clone(from.Fanouts)
 	d := w.Dataset
 	if d.Vertices <= 0 || d.Skew <= 0 {
 		return nil, fmt.Errorf("trainsim: dataset %q lacks scale/skew parameters", d.Name)
@@ -147,6 +174,8 @@ func ComputeStats(w Workload, nVirtual int) (*Stats, error) {
 		FetchBytesBatch: uniq * rowBytes,
 		VirtualHot:      make([]float64, len(ranks)),
 		VirtualBytes:    make([]float64, len(ranks)),
+		from:            from,
+		nVirtual:        nVirtual,
 	}
 	train := float64(d.TrainVertices())
 	stats.BatchesPerEpoch = int(math.Ceil(train / batch))

@@ -2,10 +2,13 @@ package trainsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"moment/internal/gnn"
 	"moment/internal/graph"
+	"moment/internal/obs"
+	"moment/internal/topology"
 )
 
 func dataset(t *testing.T, name string) graph.Dataset {
@@ -225,5 +228,66 @@ func TestRankBucketsCoverage(t *testing.T) {
 	r2, c2 := rankBuckets(100, 500)
 	if len(r2) != 100 || c2[0] != 1 {
 		t.Errorf("small-n buckets: %d ranks", len(r2))
+	}
+}
+
+// TestGivenStatsReusedOnlyForSameInputs: Config.Stats is reused when
+// ComputeStats derived it from the config's own normalized workload (the
+// model aside) and bucket count, and derived afresh otherwise — a profile
+// of other inputs, or one built by hand, is never used.
+func TestGivenStatsReusedOnlyForSameInputs(t *testing.T) {
+	// computedFrom compares Workload field by field; a new field must be
+	// added there (or be shown not to enter the profile, like Model).
+	if n := reflect.TypeOf(Workload{}).NumField(); n != 7 {
+		t.Fatalf("Workload has %d fields, computedFrom knows 7", n)
+	}
+	base := classicCfg(t, topology.MachineA(), topology.LayoutC, "IG")
+	w := base.Workload.Defaults()
+	w.NumGPUs = base.Machine.NumGPUs
+	given, err := ComputeStats(w, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		edit  func(c *Config)
+		reuse bool
+	}{
+		{"same inputs", func(c *Config) {}, true},
+		{"explicit default buckets", func(c *Config) { c.VirtualVertices = 50_000 }, true},
+		{"other model", func(c *Config) { c.Workload.Model = gnn.KindGAT }, true},
+		{"batch size", func(c *Config) { c.Workload.BatchSize = 4000 }, false},
+		{"fanouts", func(c *Config) { c.Workload.Fanouts = []int{25, 15} }, false},
+		{"virtual vertices", func(c *Config) { c.VirtualVertices = 20_000 }, false},
+		{"dedup factor", func(c *Config) { c.Workload.DedupFactor = 0.6 }, false},
+		{"epoch batches", func(c *Config) { c.Workload.EpochBatches = 10 }, false},
+		{"dataset", func(c *Config) { c.Workload.Dataset = dataset(t, "PA") }, false},
+		{"hand-built", func(c *Config) { c.Stats = &Stats{BatchesPerEpoch: 1} }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			cfg.Stats = given
+			tc.edit(&cfg)
+			o := obs.New()
+			cfg.Observer = o
+			_, stats, err := PlanDemand(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			computed := o.Counter("trainsim_stats_computed_total").Value()
+			if tc.reuse != (stats == given) || tc.reuse != (computed == 0) {
+				t.Fatalf("reused %v with %v computed, want reuse %v", stats == given, computed, tc.reuse)
+			}
+			cw := cfg.Workload.Defaults()
+			cw.NumGPUs = cfg.Machine.NumGPUs
+			want, err := ComputeStats(cw, cfg.VirtualVertices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stats, want) {
+				t.Error("profile differs from ComputeStats on the config's own inputs")
+			}
+		})
 	}
 }
