@@ -15,7 +15,6 @@ import (
 	"moment/internal/ddak"
 	"moment/internal/experiments"
 	"moment/internal/graph"
-	"moment/internal/maxflow"
 	"moment/internal/placement"
 	"moment/internal/sample"
 	"moment/internal/scorecache"
@@ -69,35 +68,10 @@ func BenchmarkInletBandwidth(b *testing.B)    { benchTable(b, experiments.InletB
 func BenchmarkPreprocessingCost(b *testing.B) { benchTable(b, experiments.PreprocessingCost) }
 
 // Ablations called out in DESIGN.md §5.
-func BenchmarkAblationSolvers(b *testing.B)  { benchTable(b, experiments.AblationSolvers) }
 func BenchmarkAblationSymmetry(b *testing.B) { benchTable(b, experiments.AblationSymmetry) }
 func BenchmarkAblationPooling(b *testing.B)  { benchTable(b, experiments.AblationPooling) }
 
 // --- Micro-benchmarks: algorithmic components -------------------------
-
-func randomFlowNetwork(n, m int, seed int64) (*maxflow.Graph, int, int) {
-	r := rand.New(rand.NewSource(seed))
-	g := maxflow.New(n)
-	for i := 0; i < m; i++ {
-		u, v := r.Intn(n), r.Intn(n)
-		if u != v {
-			g.AddEdge(u, v, float64(1+r.Intn(100)))
-		}
-	}
-	return g, 0, n - 1
-}
-
-func benchSolver(b *testing.B, s maxflow.Solver) {
-	g, src, sink := randomFlowNetwork(200, 2000, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.MaxFlow(src, sink, s)
-	}
-}
-
-func BenchmarkMaxFlowDinic(b *testing.B)       { benchSolver(b, maxflow.Dinic) }
-func BenchmarkMaxFlowEdmondsKarp(b *testing.B) { benchSolver(b, maxflow.EdmondsKarp) }
-func BenchmarkMaxFlowPushRelabel(b *testing.B) { benchSolver(b, maxflow.PushRelabel) }
 
 func benchSearch(b *testing.B, opt placement.Options) {
 	b.Helper()

@@ -54,17 +54,8 @@ func ParseDeployment(r io.Reader) (*Machine, *ClusterSpec, error) {
 type (
 	// PartitionSpec selects a CAGNET layout (1D, 1.5D, 2D) over N nodes.
 	PartitionSpec = partition.Spec
-	// PartitionLayout is the CAGNET layout family.
-	PartitionLayout = partition.Layout
 	// PartitionVolume is the scored per-epoch communication volume.
 	PartitionVolume = partition.Volume
-)
-
-// CAGNET layout families for PartitionSpec.
-const (
-	Partition1D  = partition.Layout1D
-	Partition15D = partition.Layout15D
-	Partition2D  = partition.Layout2D
 )
 
 // ParsePartitionSpec parses the CLI partition grammar ("1d", "1.5d:2",
@@ -120,21 +111,10 @@ type (
 	AccessMonitor = adaptive.Monitor
 	// Replanner re-runs DDAK when the live access distribution drifts.
 	Replanner = adaptive.Replanner
-	// Migration reports one adaptive re-placement.
-	Migration = adaptive.Migration
 	// StorageBin is a DDAK placement target (capacity + traffic budget).
 	StorageBin = ddak.Bin
 	// PlacedItem is one DDAK placement unit (hotness + size).
 	PlacedItem = ddak.Item
-	// ItemAssignment is a DDAK layout over items and bins.
-	ItemAssignment = ddak.ItemAssignment
-)
-
-// Storage tiers for StorageBin.
-const (
-	TierGPU = ddak.TierGPU
-	TierCPU = ddak.TierCPU
-	TierSSD = ddak.TierSSD
 )
 
 // NewAccessMonitor tracks n items with the given half-life in batches.
@@ -148,66 +128,16 @@ func NewReplanner(hot, itemBytes []float64, bins []StorageBin, poolN int, traffi
 	return adaptive.NewReplanner(hot, itemBytes, bins, poolN, trafficScale, threshold)
 }
 
-// DriftTV is the total-variation distance between two access distributions.
-func DriftTV(a, b []float64) (float64, error) { return adaptive.TV(a, b) }
-
-// LayoutHitRate is the fast-tier (GPU+CPU) hit fraction of a layout under
-// an access distribution.
-func LayoutHitRate(a *ddak.ItemAssignment, hot []float64) (float64, error) {
-	return adaptive.HitRate(a, hot)
-}
-
-// Drift detection and incremental re-placement (the closed adaptive loop:
-// monitor → detector → delta DDAK re-solve, with a from-scratch oracle for
-// differential evaluation).
+// Drift simulation: the closed adaptive loop (monitor → detector → delta
+// DDAK re-solve) against a from-scratch re-planning oracle.
 type (
-	// DriftDetector trips on sustained distribution drift (total-variation
-	// plus top-k rank displacement, with hysteresis and cooldown).
-	DriftDetector = adaptive.DriftDetector
-	// DriftSignal is one detector reading.
-	DriftSignal = adaptive.DriftSignal
-	// DeltaOptions bounds an incremental DDAK re-solve.
-	DeltaOptions = ddak.DeltaOptions
-	// DeltaResult is an incremental re-solve with its migration bill.
-	DeltaResult = ddak.DeltaResult
 	// DriftSchedule is a seeded workload-drift process for simulation.
 	DriftSchedule = trainsim.DriftSchedule
-	// DriftKind selects the perturbation a DriftSchedule applies.
-	DriftKind = trainsim.DriftKind
 	// DriftOptions configures a long-horizon drift simulation.
 	DriftOptions = trainsim.DriftOptions
 	// DriftReport summarizes one adaptive or oracle drift run.
 	DriftReport = trainsim.DriftReport
 )
-
-// Drift perturbation kinds for DriftSchedule.
-const (
-	DriftNone      = trainsim.DriftNone
-	DriftRotate    = trainsim.DriftRotate
-	DriftFlip      = trainsim.DriftFlip
-	DriftOscillate = trainsim.DriftOscillate
-	DriftShuffle   = trainsim.DriftShuffle
-)
-
-// PlaceItems runs the full DDAK traffic-capped pooled greedy over items
-// and bins — the from-scratch solve that seeds an adaptive loop before
-// PlaceItemsDelta takes over.
-func PlaceItems(items []PlacedItem, bins []StorageBin, poolN int, trafficScale float64) (*ItemAssignment, error) {
-	return ddak.PlaceItems(items, bins, poolN, trafficScale)
-}
-
-// PlaceItemsDelta re-solves a DDAK layout incrementally from a previous
-// assignment: unchanged items keep their bins, evictions are repaired and
-// profitable promotions applied under opt.MaxMoveFrac, falling back to a
-// full solve when the budget cannot absorb the drift.
-func PlaceItemsDelta(prevItems []PlacedItem, prev *ItemAssignment, items []PlacedItem, bins []StorageBin, poolN int, trafficScale float64, opt DeltaOptions) (*DeltaResult, error) {
-	return ddak.PlaceItemsDelta(prevItems, prev, items, bins, poolN, trafficScale, opt)
-}
-
-// LayoutTiers flattens an item assignment to a per-item storage tier
-// (0 = GPU, 1 = CPU, 2 = SSD) — the form Sampler locality biasing and
-// tier-aware schedulers consume.
-func LayoutTiers(a *ItemAssignment) ([]uint8, error) { return adaptive.TierOf(a) }
 
 // SimulateDrift runs a long-horizon training simulation whose hotness
 // distribution drifts on a seeded schedule, chased either by the closed
@@ -227,8 +157,6 @@ func FormatDriftSpec(s DriftSchedule) string { return trainsim.FormatDriftSpec(s
 type (
 	// Timeline is the exact per-iteration pipeline schedule of an epoch.
 	Timeline = trainsim.Timeline
-	// StageTimes is a per-iteration stage cost triple.
-	StageTimes = trainsim.StageTimes
 )
 
 // EpochTimeline derives the exact software-pipeline schedule of a
@@ -237,14 +165,6 @@ func EpochTimeline(r *EpochResult, keep int) (*Timeline, error) {
 	return trainsim.TimelineOf(r, keep)
 }
 
-// Bandwidth and byte helpers for cluster and custom-machine configs.
-var (
-	// Gbps builds a network bandwidth from decimal gigabits per second.
-	Gbps = units.Gbps
-	// GiBps builds a bandwidth from GiB per second.
-	GiBps = units.GiBps
-	// GB builds a byte size from GiB.
-	GB = units.GB
-	// TB builds a byte size from TiB.
-	TB = units.TB
-)
+// Gbps builds a network bandwidth from decimal gigabits per second, for
+// ClusterSpec NIC rates.
+var Gbps = units.Gbps

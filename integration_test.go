@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"moment/internal/adaptive"
+	"moment/internal/ddak"
 	"moment/internal/placement"
 	"moment/internal/topology"
 	"moment/internal/units"
@@ -33,25 +35,25 @@ func randomMachine(r *rand.Rand) *Machine {
 		PCIeX4:        units.GiBps(7),
 		NumNodes:      1,
 	}
-	m.Points = []AttachPoint{
+	m.Points = []topology.AttachPoint{
 		{ID: "rc0", Kind: topology.RootComplex, Bays: 2 + r.Intn(5), GPUSlots: r.Intn(2)},
 		{ID: "rc1", Kind: topology.RootComplex, Bays: 2 + r.Intn(5), GPUSlots: r.Intn(2)},
 	}
 	// Up to one switch per socket, optionally cascaded on socket 0.
 	if r.Intn(2) == 0 {
-		m.Points = append(m.Points, AttachPoint{
+		m.Points = append(m.Points, topology.AttachPoint{
 			ID: "sw0", Kind: topology.Switch, Parent: "rc0",
 			UplinkBW: m.PCIeX16, Bays: r.Intn(3), GPUSlots: 2 + r.Intn(2),
 		})
 		if r.Intn(2) == 0 {
-			m.Points = append(m.Points, AttachPoint{
+			m.Points = append(m.Points, topology.AttachPoint{
 				ID: "sw1", Kind: topology.Switch, Parent: "sw0",
 				UplinkBW: m.PCIeX16, Bays: r.Intn(3), GPUSlots: 2,
 			})
 		}
 	}
 	if r.Intn(2) == 0 {
-		m.Points = append(m.Points, AttachPoint{
+		m.Points = append(m.Points, topology.AttachPoint{
 			ID: "swb", Kind: topology.Switch, Parent: "rc1",
 			UplinkBW: m.PCIeX16, Bays: r.Intn(3), GPUSlots: 2,
 		})
@@ -206,14 +208,14 @@ func TestAdaptiveFacade(t *testing.T) {
 		bytes[i] = 4096
 	}
 	bins := []StorageBin{
-		{Name: "hbm", Tier: TierGPU, Capacity: 200 * 4096, Traffic: 0.5},
-		{Name: "ssd", Tier: TierSSD, Capacity: 1e9, Traffic: 0.5},
+		{Name: "hbm", Tier: ddak.TierGPU, Capacity: 200 * 4096, Traffic: 0.5},
+		{Name: "ssd", Tier: ddak.TierSSD, Capacity: 1e9, Traffic: 0.5},
 	}
 	rp, err := NewReplanner(hot, bytes, bins, 100, 1, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0, err := LayoutHitRate(rp.Current(), hot)
+	h0, err := adaptive.HitRate(rp.Current(), hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestAdaptiveFacade(t *testing.T) {
 	if err := mon.ObserveBatch([]int32{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if d, err := DriftTV(hot, mon.Hotness()); err != nil || d <= 0 {
+	if d, err := adaptive.TV(hot, mon.Hotness()); err != nil || d <= 0 {
 		t.Errorf("drift %v, %v", d, err)
 	}
 }

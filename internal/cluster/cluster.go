@@ -194,14 +194,13 @@ func Simulate(cfg Config) (*Result, error) {
 			shardBytes/(1<<40), cfg.Replication, nodeSSD/(1<<40))}, nil
 	}
 
-	// Hardware placement: search once, replicate (homogeneous nodes). The
-	// search's workload profile is the node epoch's too, since both plan
-	// the node's batch share (Config.Stats recomputes it when the node's
-	// simulation knobs resolve to a different profile).
+	// Hardware placement: search once under the node's simulation knobs,
+	// replicate (homogeneous nodes). The search's workload profile is the
+	// node epoch's too, since both plan the node's batch share.
 	placement := cfg.Placement
 	stats := cfg.Sim.Stats
 	if placement == nil {
-		plan, err := core.CoOptimize(core.Input{Machine: cfg.Node, Workload: w, Observer: cfg.Sim.Observer})
+		plan, err := core.CoOptimize(core.Input{Machine: cfg.Node, Workload: w, Sim: cfg.Sim, Observer: cfg.Sim.Observer})
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,10 @@ package cluster
 import (
 	"testing"
 
+	"moment/internal/core"
 	"moment/internal/gnn"
 	"moment/internal/graph"
+	"moment/internal/obs"
 	"moment/internal/topology"
 	"moment/internal/trainsim"
 	"moment/internal/units"
@@ -158,5 +160,41 @@ func TestConfigErrors(t *testing.T) {
 	c = cfg(t, 2, 0)
 	if _, err := Simulate(c); err == nil {
 		t.Error("multi-node without NIC accepted")
+	}
+}
+
+// TestSingleNodeSearchesUnderNodeSim: the placement search runs under the
+// node's own simulation knobs, so for every cache mode a 1-node cluster
+// picks the placement a single-machine co-optimization picks under the
+// same Sim, and derives the workload profile once for search and epoch.
+func TestSingleNodeSearchesUnderNodeSim(t *testing.T) {
+	d, err := graph.DatasetByName("PA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := trainsim.Workload{Dataset: d, Model: gnn.KindSAGE}
+	for _, mode := range []trainsim.CacheMode{trainsim.CacheReplicated, trainsim.CachePartitioned, trainsim.CachePaired} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sim := trainsim.Config{Cache: mode, VirtualVertices: 20000}
+			single, err := core.CoOptimize(core.Input{Machine: topology.MachineB(), Workload: w, Sim: sim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := obs.New()
+			sim.Observer = o
+			r, err := Simulate(Config{Node: topology.MachineB(), Nodes: 1, NICBW: units.Gbps(100), Workload: w, Sim: sim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.OOM != "" {
+				t.Fatalf("OOM: %s", r.OOM)
+			}
+			if got, want := r.Placement.String(), single.Placement.String(); got != want {
+				t.Errorf("1-node cluster placement %s, single machine %s", got, want)
+			}
+			if got := o.Counter("trainsim_stats_computed_total").Value(); got != 1 {
+				t.Errorf("trainsim_stats_computed_total = %v, want 1", got)
+			}
+		})
 	}
 }

@@ -302,19 +302,6 @@ func TestPreprocessingCost(t *testing.T) {
 	}
 }
 
-func TestAblationSolversAgree(t *testing.T) {
-	tbl, err := AblationSolvers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := tbl.Rows[0].Cells[0].Value
-	for _, row := range tbl.Rows[1:] {
-		if math.Abs(row.Cells[0].Value-base) > 1e-6*base {
-			t.Errorf("solver %s disagrees: %v vs %v", row.Label, row.Cells[0].Value, base)
-		}
-	}
-}
-
 func TestAblationSymmetry(t *testing.T) {
 	tbl, err := AblationSymmetry()
 	if err != nil {
@@ -428,7 +415,7 @@ func TestAllRunsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 28 {
-		t.Errorf("All produced %d tables, want 28", len(tables))
+	if len(tables) != 27 {
+		t.Errorf("All produced %d tables, want 27", len(tables))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"moment/internal/cost"
 	"moment/internal/ddak"
 	"moment/internal/gnn"
-	"moment/internal/maxflow"
 	"moment/internal/placement"
 	"moment/internal/sample"
 	"moment/internal/simio"
@@ -93,64 +92,6 @@ func PreprocessingCost() (*Table, error) {
 	return t, nil
 }
 
-// AblationSolvers compares the three max-flow solvers on the machine B
-// communication graph (DESIGN.md ablation; values must agree).
-func AblationSolvers() (*Table, error) {
-	t := &Table{
-		ID:      "ablation-solvers",
-		Title:   "Max-flow solver comparison on the machine B communication graph",
-		Columns: []string{"flow-gibps"},
-	}
-	m := topology.MachineB()
-	p, err := topology.MomentPlacementB(m)
-	if err != nil {
-		return nil, err
-	}
-	// Build a pure-rate network: storage egress rates against GPU slots.
-	for _, solver := range []maxflow.Solver{maxflow.Dinic, maxflow.EdmondsKarp, maxflow.PushRelabel} {
-		g := maxflow.New(2)
-		s, sink := 0, 1
-		ap := map[string]int{}
-		for _, pt := range m.Points {
-			ap[pt.ID] = g.AddNode(pt.ID)
-		}
-		rcs := m.RootComplexes()
-		for i := 0; i < len(rcs); i++ {
-			for j := 0; j < len(rcs); j++ {
-				if i != j {
-					g.AddEdge(ap[rcs[i]], ap[rcs[j]], float64(m.QPIBW))
-				}
-			}
-		}
-		for _, pt := range m.Points {
-			if pt.Kind == topology.Switch {
-				g.AddEdge(ap[pt.Parent], ap[pt.ID], float64(pt.UplinkBW))
-				g.AddEdge(ap[pt.ID], ap[pt.Parent], float64(pt.UplinkBW))
-			}
-		}
-		for _, at := range p.SSDAt {
-			n := g.AddNode("ssd")
-			g.AddEdge(s, n, float64(m.SSDBW))
-			g.AddEdge(n, ap[at], float64(m.PCIeX4))
-		}
-		for _, rc := range rcs {
-			n := g.AddNode("dram")
-			g.AddEdge(s, n, float64(m.DRAMBW))
-			g.AddEdge(n, ap[rc], float64(m.DRAMBW))
-		}
-		for _, at := range p.GPUAt {
-			n := g.AddNode("gpu")
-			g.AddEdge(ap[at], n, float64(m.PCIeX16))
-			g.AddEdge(n, sink, maxflow.Inf)
-		}
-		flow := g.MaxFlow(s, sink, solver)
-		t.Rows = append(t.Rows, Row{Label: solver.String(), Cells: []Cell{
-			Num(flow / (1 << 30)),
-		}})
-	}
-	return t, nil
-}
-
 // All runs every generator in paper order, returning the tables. Failures
 // abort with the failing experiment's id.
 func All() ([]*Table, error) {
@@ -181,7 +122,6 @@ func All() ([]*Table, error) {
 		{"ssd-micro", SSDMicrobench},
 		{"inlet", InletBandwidth},
 		{"preprocess", PreprocessingCost},
-		{"ablation-solvers", AblationSolvers},
 		{"ablation-symmetry", AblationSymmetry},
 		{"ablation-pooling", AblationPooling},
 		{"generalization", Generalization},

@@ -92,21 +92,6 @@ type ClusterNetwork struct {
 	edges []ClusterEdge
 }
 
-// addEdge adds a rate or fixed edge with golden bookkeeping.
-func (cn *ClusterNetwork) addRate(g *maxflow.Graph, from, to int, rate float64) maxflow.EdgeID {
-	e := g.AddEdge(from, to, 0)
-	cn.bis.AddRateEdge(e, rate)
-	cn.edges = append(cn.edges, ClusterEdge{g.Label(from), g.Label(to), "rate", rate})
-	return e
-}
-
-func (cn *ClusterNetwork) addFixed(g *maxflow.Graph, from, to int, bytes float64) maxflow.EdgeID {
-	e := g.AddEdge(from, to, 0)
-	cn.bis.AddFixedEdge(e, bytes)
-	cn.edges = append(cn.edges, ClusterEdge{g.Label(from), g.Label(to), "fixed", bytes})
-	return e
-}
-
 // BuildCluster constructs the multi-node communication graph: spec.Nodes
 // copies of machine m under placement p (homogeneous cluster), joined by
 // the spec's NIC/leaf/spine hierarchy, routing demand d.
@@ -131,23 +116,13 @@ func BuildCluster(m *topology.Machine, p *topology.Placement, spec topology.Clus
 		if nd == nil {
 			return nil, fmt.Errorf("flownet: nil demand for node %d", j)
 		}
-		if len(nd.PerGPU) != m.NumGPUs {
-			return nil, fmt.Errorf("flownet: node %d demand for %d GPUs, machine has %d", j, len(nd.PerGPU), m.NumGPUs)
-		}
-		if nd.HBMPeer != nil && len(nd.HBMPeer) != m.NumGPUs {
-			return nil, fmt.Errorf("flownet: node %d HBMPeer for %d GPUs, machine has %d", j, len(nd.HBMPeer), m.NumGPUs)
-		}
-		if nd.SSDPer != nil && len(nd.SSDPer) != m.NumSSDs {
-			return nil, fmt.Errorf("flownet: node %d SSDPer for %d SSDs, machine has %d", j, len(nd.SSDPer), m.NumSSDs)
-		}
-		supply, dem := nd.TotalSupply(), nd.TotalDemand()
-		if supply < dem-1e-6-1e-9*dem {
-			return nil, fmt.Errorf("flownet: node %d storage supply %.0f < GPU demand %.0f", j, supply, dem)
+		if err := nd.check(m, fmt.Sprintf("node %d ", j)); err != nil {
+			return nil, err
 		}
 		if d.Import[j] < 0 || d.Export[j] < 0 {
 			return nil, fmt.Errorf("flownet: node %d negative import/export", j)
 		}
-		totalDemand += dem + d.Import[j]
+		totalDemand += nd.TotalDemand() + d.Import[j]
 		imports += d.Import[j]
 		exports += d.Export[j]
 	}
@@ -184,6 +159,7 @@ func BuildCluster(m *topology.Machine, p *topology.Placement, spec topology.Clus
 	cn.S = g.AddNode("s")
 	cn.T = g.AddNode("t")
 	cn.bis = maxflow.NewTimeBisector(g, cn.S, cn.T, totalDemand)
+	f := fabric{g: g, bis: cn.bis, rec: &cn.edges}
 
 	// The shared core: leaves split into an up and a down stage so every
 	// inter-node byte crosses the spine (see topology.ClusterSpec).
@@ -199,8 +175,8 @@ func BuildCluster(m *topology.Machine, p *topology.Placement, spec topology.Clus
 	for l := 0; l < spec.Leaves; l++ {
 		leafUpN[l] = g.AddNode(fmt.Sprintf("leaf%d:up", l))
 		leafDownN[l] = g.AddNode(fmt.Sprintf("leaf%d:down", l))
-		cn.leafUp[l] = cn.addRate(g, leafUpN[l], spine, uplink)
-		cn.leafDown[l] = cn.addRate(g, spine, leafDownN[l], uplink)
+		cn.leafUp[l] = f.rate(leafUpN[l], spine, uplink)
+		cn.leafDown[l] = f.rate(spine, leafDownN[l], uplink)
 		cn.netRate[cn.leafUp[l]] = uplink
 		cn.netRate[cn.leafDown[l]] = uplink
 	}
@@ -212,8 +188,8 @@ func BuildCluster(m *topology.Machine, p *topology.Placement, spec topology.Clus
 
 	for j := 0; j < spec.Nodes; j++ {
 		prefix := fmt.Sprintf("n%d/", j)
-		sub, err := cn.addNodeSub(m, p, d.Node[j], prefix)
-		if err != nil {
+		var sub fabricNodes
+		if err := f.build(m, p, d.Node[j], cn.S, cn.T, prefix, &sub); err != nil {
 			return nil, err
 		}
 		leaf := spec.LeafOf(j)
@@ -221,18 +197,18 @@ func BuildCluster(m *topology.Machine, p *topology.Placement, spec topology.Clus
 		// Export source and import portal.
 		expN := g.AddNode(prefix + "export")
 		impN := g.AddNode(prefix + "import")
-		cn.exportEdge[j] = cn.addFixed(g, cn.S, expN, d.Export[j])
-		cn.importEdge[j] = cn.addFixed(g, impN, cn.T, d.Import[j])
+		cn.exportEdge[j] = f.fixed(cn.S, expN, d.Export[j])
+		cn.importEdge[j] = f.fixed(impN, cn.T, d.Import[j])
 
 		if opts.NICOnGPUSocket {
 			// Export bytes start at the node's storage devices and cross
 			// the fabric to the NIC's attach point.
-			entries := sub.ssdNodes
+			entries := sub.ssd
 			if len(entries) == 0 {
-				entries = sub.dramNodes
+				entries = sub.dram
 			}
 			for _, dev := range entries {
-				cn.addRate(g, expN, dev, maxflow.Inf)
+				f.rate(expN, dev, maxflow.Inf)
 			}
 		}
 		for k := 0; k < spec.NICsPerNode; k++ {
@@ -241,13 +217,13 @@ func BuildCluster(m *topology.Machine, p *topology.Placement, spec topology.Clus
 			if opts.NICOnGPUSocket {
 				// The NIC's own x16 slot, shared with nothing but sized
 				// like any device link.
-				cn.addRate(g, sub.apNode[nicAt], outN, float64(m.PCIeX16))
+				f.rate(sub.ap[nicAt], outN, float64(m.PCIeX16))
 			} else {
-				cn.addRate(g, expN, outN, maxflow.Inf)
+				f.rate(expN, outN, maxflow.Inf)
 			}
-			oe := cn.addRate(g, outN, leafUpN[leaf], float64(spec.NICBW))
-			ie := cn.addRate(g, leafDownN[leaf], inN, float64(spec.NICBW))
-			cn.addRate(g, inN, impN, maxflow.Inf)
+			oe := f.rate(outN, leafUpN[leaf], float64(spec.NICBW))
+			ie := f.rate(leafDownN[leaf], inN, float64(spec.NICBW))
+			f.rate(inN, impN, maxflow.Inf)
 			cn.nicOutEdge[j] = append(cn.nicOutEdge[j], oe)
 			cn.nicInEdge[j] = append(cn.nicInEdge[j], ie)
 			cn.netRate[oe] = float64(spec.NICBW)
@@ -255,97 +231,6 @@ func BuildCluster(m *topology.Machine, p *topology.Placement, spec topology.Clus
 		}
 	}
 	return cn, nil
-}
-
-// nodeSub is the bookkeeping of one node's subgraph.
-type nodeSub struct {
-	apNode    map[string]int
-	ssdNodes  []int
-	dramNodes []int
-}
-
-// addNodeSub instantiates one node's single-machine subgraph under a name
-// prefix — the same node classes and links Build constructs, sharing the
-// cluster's source, sink, and bisector.
-func (cn *ClusterNetwork) addNodeSub(m *topology.Machine, p *topology.Placement, d *Demand, prefix string) (*nodeSub, error) {
-	g := cn.G
-	sub := &nodeSub{apNode: make(map[string]int, len(m.Points))}
-
-	for _, pt := range m.Points {
-		sub.apNode[pt.ID] = g.AddNode(prefix + pt.ID)
-	}
-	rcs := m.RootComplexes()
-	for i := 0; i < len(rcs); i++ {
-		for j := i + 1; j < len(rcs); j++ {
-			a, b := sub.apNode[rcs[i]], sub.apNode[rcs[j]]
-			cn.addRate(g, a, b, float64(m.QPIBW))
-			cn.addRate(g, b, a, float64(m.QPIBW))
-		}
-	}
-	for _, pt := range m.Points {
-		if pt.Kind != topology.Switch {
-			continue
-		}
-		up, down := sub.apNode[pt.Parent], sub.apNode[pt.ID]
-		cn.addRate(g, up, down, float64(pt.UplinkBW))
-		cn.addRate(g, down, up, float64(pt.UplinkBW))
-	}
-
-	gpuNode := make([]int, m.NumGPUs)
-	for i := 0; i < m.NumGPUs; i++ {
-		gpuNode[i] = g.AddNode(fmt.Sprintf("%sgpu%d", prefix, i))
-		cn.addRate(g, sub.apNode[p.GPUAt[i]], gpuNode[i], float64(m.PCIeX16))
-		cn.addFixed(g, gpuNode[i], cn.T, d.PerGPU[i])
-	}
-
-	if d.HBMPeer != nil {
-		hbmNode := make([]int, m.NumGPUs)
-		for i := 0; i < m.NumGPUs; i++ {
-			hbmNode[i] = g.AddNode(fmt.Sprintf("%shbm%d", prefix, i))
-			cn.addFixed(g, cn.S, hbmNode[i], d.HBMPeer[i])
-			cn.addRate(g, hbmNode[i], sub.apNode[p.GPUAt[i]], float64(m.PCIeX16))
-		}
-		for _, nv := range m.NVLinks {
-			cn.addRate(g, hbmNode[nv.A], gpuNode[nv.B], float64(m.NVLinkBW))
-			cn.addRate(g, hbmNode[nv.B], gpuNode[nv.A], float64(m.NVLinkBW))
-		}
-	}
-
-	for _, rc := range rcs {
-		budget := 0.0
-		if d.DRAM != nil {
-			budget = d.DRAM[rc]
-		}
-		dn := g.AddNode(prefix + "dram:" + rc)
-		sub.dramNodes = append(sub.dramNodes, dn)
-		cn.addFixed(g, cn.S, dn, budget)
-		cn.addRate(g, dn, sub.apNode[rc], float64(m.DRAMBW))
-	}
-	if d.DRAM != nil {
-		for rc := range d.DRAM {
-			if _, ok := sub.apNode[rc]; !ok {
-				return nil, fmt.Errorf("flownet: DRAM budget for unknown socket %q", rc)
-			}
-		}
-	}
-
-	ssdRate := math.Min(float64(m.SSDBW), float64(m.PCIeX4))
-	pool := -1
-	if d.SSDPer == nil && m.NumSSDs > 0 {
-		pool = g.AddNode(prefix + "ssdpool")
-		cn.addFixed(g, cn.S, pool, d.SSDTotal)
-	}
-	for i := 0; i < m.NumSSDs; i++ {
-		sn := g.AddNode(fmt.Sprintf("%sssd%d", prefix, i))
-		sub.ssdNodes = append(sub.ssdNodes, sn)
-		if d.SSDPer != nil {
-			cn.addFixed(g, cn.S, sn, d.SSDPer[i])
-		} else {
-			cn.addRate(g, pool, sn, maxflow.Inf)
-		}
-		cn.addRate(g, sn, sub.apNode[p.SSDAt[i]], ssdRate)
-	}
-	return sub, nil
 }
 
 // Solve returns the minimum horizon that routes every local demand and

@@ -24,7 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"moment/internal/maxflow"
@@ -130,13 +132,7 @@ type Network struct {
 	Machine   *topology.Machine
 	Placement *topology.Placement
 
-	GPUNode  []int          // computation node per GPU index
-	HBMNode  []int          // peer-serving storage node per GPU index (-1 if absent)
-	DRAMNode map[string]int // storage node per socket
-	SSDNode  []int          // storage node per SSD index
-	PoolNode int            // SSD-tier aggregator (-1 when SSDPer pins budgets)
-	APNode   map[string]int // interconnect node per attach point
-
+	nodes   fabricNodes // node indices of the last build, kept as arena
 	demand  *Demand
 	bis     *maxflow.TimeBisector
 	solvedT float64       // horizon of the last Solve; 0 if unsolved
@@ -175,180 +171,233 @@ func BuildReuse(m *topology.Machine, p *topology.Placement, d *Demand, scratch *
 	if err := p.Validate(m); err != nil {
 		return nil, err
 	}
-	if len(d.PerGPU) != m.NumGPUs {
-		return nil, fmt.Errorf("flownet: demand for %d GPUs, machine has %d", len(d.PerGPU), m.NumGPUs)
-	}
-	if d.HBMPeer != nil && len(d.HBMPeer) != m.NumGPUs {
-		return nil, fmt.Errorf("flownet: HBMPeer for %d GPUs, machine has %d", len(d.HBMPeer), m.NumGPUs)
-	}
-	if d.SSDPer != nil && len(d.SSDPer) != m.NumSSDs {
-		return nil, fmt.Errorf("flownet: SSDPer for %d SSDs, machine has %d", len(d.SSDPer), m.NumSSDs)
-	}
-	supply, dem := d.TotalSupply(), d.TotalDemand()
-	if supply < dem-1e-6-1e-9*dem {
-		return nil, fmt.Errorf("flownet: storage supply %.0f < GPU demand %.0f", supply, dem)
+	if err := d.check(m, ""); err != nil {
+		return nil, err
 	}
 
 	n := scratch
 	if n == nil {
 		n = &Network{
 			G:          maxflow.New(0),
-			DRAMNode:   map[string]int{},
-			APNode:     map[string]int{},
 			supplyDRAM: map[string]maxflow.EdgeID{},
 			linkEdges:  map[string][]maxflow.EdgeID{},
 			linkRate:   map[string]float64{},
 		}
 	} else {
 		n.G.Clear()
-		clear(n.DRAMNode)
-		clear(n.APNode)
 		clear(n.supplyDRAM)
 		clear(n.linkEdges)
 		clear(n.linkRate)
 		n.qpiEdges = n.qpiEdges[:0] // observer (n.obsrv) survives reuse
 	}
 	n.Machine, n.Placement, n.demand = m, p, d
-	n.PoolNode, n.supplyPool = -1, -1
+	n.supplyPool = -1
 	n.solvedT = 0
 	g := n.G
 	n.S = g.AddNode("s")
 	n.T = g.AddNode("t")
+	dem := d.TotalDemand()
 	if n.bis == nil {
 		n.bis = maxflow.NewTimeBisector(g, n.S, n.T, dem)
 	} else {
 		n.bis.Reinit(g, n.S, n.T, dem)
 	}
-	bis := n.bis
-
-	// Interconnect nodes.
-	for _, pt := range m.Points {
-		n.APNode[pt.ID] = g.AddNode(pt.ID)
+	n.demandEdge = resize(n.demandEdge, m.NumGPUs)
+	n.supplyHBM = resize(n.supplyHBM, m.NumGPUs)
+	for i := range n.supplyHBM {
+		n.supplyHBM[i] = -1
 	}
-	// Interconnect links: QPI full mesh between root complexes (two
-	// sockets in practice), and switch uplinks; one rate edge per
-	// direction, tracked for utilization metrics.
+	n.supplySSD = resize(n.supplySSD, m.NumSSDs)
+	f := fabric{g: g, bis: n.bis, net: n}
+	if err := f.build(m, p, d, n.S, n.T, "", &n.nodes); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// check validates d against machine m; node names the cluster node in
+// errors ("node 3 ", or "" for a single machine).
+func (d *Demand) check(m *topology.Machine, node string) error {
+	if len(d.PerGPU) != m.NumGPUs {
+		return fmt.Errorf("flownet: %sdemand for %d GPUs, machine has %d", node, len(d.PerGPU), m.NumGPUs)
+	}
+	if d.HBMPeer != nil && len(d.HBMPeer) != m.NumGPUs {
+		return fmt.Errorf("flownet: %sHBMPeer for %d GPUs, machine has %d", node, len(d.HBMPeer), m.NumGPUs)
+	}
+	if d.SSDPer != nil && len(d.SSDPer) != m.NumSSDs {
+		return fmt.Errorf("flownet: %sSSDPer for %d SSDs, machine has %d", node, len(d.SSDPer), m.NumSSDs)
+	}
+	supply, dem := d.TotalSupply(), d.TotalDemand()
+	if supply < dem-1e-6-1e-9*dem {
+		return fmt.Errorf("flownet: %sstorage supply %.0f < GPU demand %.0f", node, supply, dem)
+	}
+	return nil
+}
+
+// fabricNodes indexes one machine's nodes in a flow graph.
+type fabricNodes struct {
+	ap   map[string]int // interconnect node per attach point
+	gpu  []int          // computation node per GPU
+	hbm  []int          // peer-serving cache node per GPU (-1 if absent)
+	dram []int          // storage node per socket, in RootComplexes order
+	ssd  []int          // storage node per SSD
+}
+
+// fabric builds machines' subgraphs into a graph under construction,
+// registering every edge with the min-time bisector. A single-machine
+// Network records its metric bookkeeping in net; a ClusterNetwork lists
+// every edge in rec instead.
+type fabric struct {
+	g   *maxflow.Graph
+	bis *maxflow.TimeBisector
+	net *Network       // single-machine edge bookkeeping; nil in a cluster
+	rec *[]ClusterEdge // cluster edge listing; nil for a single machine
+}
+
+// rate adds a bandwidth edge u→v of rate bytes/second.
+func (f fabric) rate(u, v int, rate float64) maxflow.EdgeID {
+	e := f.g.AddEdge(u, v, 0)
+	f.bis.AddRateEdge(e, rate)
+	if f.rec != nil {
+		*f.rec = append(*f.rec, ClusterEdge{f.g.Label(u), f.g.Label(v), "rate", rate})
+	}
+	return e
+}
+
+// fixed adds a horizon-independent byte budget u→v.
+func (f fabric) fixed(u, v int, bytes float64) maxflow.EdgeID {
+	e := f.g.AddEdge(u, v, 0)
+	f.bis.AddFixedEdge(e, bytes)
+	if f.rec != nil {
+		*f.rec = append(*f.rec, ClusterEdge{f.g.Label(u), f.g.Label(v), "fixed", bytes})
+	}
+	return e
+}
+
+// build adds machine m's single-machine subgraph under placement p,
+// routing demand d from s to t, with every node label prefixed by prefix.
+// In order: interconnect nodes, QPI and switch uplinks (PCIe and QPI are
+// full duplex: one rate edge per direction), GPU slot links and demand
+// arcs, HBM peer caches with their egress and NVLinks, per-socket DRAM,
+// then the SSD pool and bays. nodes receives the node indices, reusing
+// its storage.
+func (f fabric) build(m *topology.Machine, p *topology.Placement, d *Demand, s, t int, prefix string, nodes *fabricNodes) error {
+	g, n := f.g, f.net
+	if nodes.ap == nil {
+		nodes.ap = make(map[string]int, len(m.Points))
+	} else {
+		clear(nodes.ap)
+	}
+	for _, pt := range m.Points {
+		nodes.ap[pt.ID] = g.AddNode(prefix + pt.ID)
+	}
 	rcs := m.RootComplexes()
 	for i := 0; i < len(rcs); i++ {
 		for j := i + 1; j < len(rcs); j++ {
-			name := fmt.Sprintf("qpi:%s-%s", rcs[i], rcs[j])
-			a, b := n.APNode[rcs[i]], n.APNode[rcs[j]]
-			e1 := g.AddEdge(a, b, 0)
-			e2 := g.AddEdge(b, a, 0)
-			bis.AddRateEdge(e1, float64(m.QPIBW))
-			bis.AddRateEdge(e2, float64(m.QPIBW))
-			n.qpiEdges = append(n.qpiEdges, e1, e2)
-			n.trackLink(name, float64(m.QPIBW), e1, e2)
+			a, b := nodes.ap[rcs[i]], nodes.ap[rcs[j]]
+			e1 := f.rate(a, b, float64(m.QPIBW))
+			e2 := f.rate(b, a, float64(m.QPIBW))
+			if n != nil {
+				n.qpiEdges = append(n.qpiEdges, e1, e2)
+				n.trackLink("qpi:"+rcs[i]+"-"+rcs[j], float64(m.QPIBW), e1, e2)
+			}
 		}
 	}
 	for _, pt := range m.Points {
 		if pt.Kind != topology.Switch {
 			continue
 		}
-		name := fmt.Sprintf("uplink:%s-%s", pt.Parent, pt.ID)
-		up, down := n.APNode[pt.Parent], n.APNode[pt.ID]
-		e1 := g.AddEdge(up, down, 0)
-		e2 := g.AddEdge(down, up, 0)
-		bis.AddRateEdge(e1, float64(pt.UplinkBW))
-		bis.AddRateEdge(e2, float64(pt.UplinkBW))
-		n.trackLink(name, float64(pt.UplinkBW), e1, e2)
+		up, down := nodes.ap[pt.Parent], nodes.ap[pt.ID]
+		e1 := f.rate(up, down, float64(pt.UplinkBW))
+		e2 := f.rate(down, up, float64(pt.UplinkBW))
+		if n != nil {
+			n.trackLink("uplink:"+pt.Parent+"-"+pt.ID, float64(pt.UplinkBW), e1, e2)
+		}
 	}
 
 	// Computation nodes and their ingress links.
-	n.GPUNode = resize(n.GPUNode, m.NumGPUs)
-	n.demandEdge = resize(n.demandEdge, m.NumGPUs)
-	for i := 0; i < m.NumGPUs; i++ {
-		n.GPUNode[i] = g.AddNode(fmt.Sprintf("gpu%d", i))
-		ap := n.APNode[p.GPUAt[i]]
-		in := g.AddEdge(ap, n.GPUNode[i], 0)
-		bis.AddRateEdge(in, float64(m.PCIeX16))
-		n.trackLink(fmt.Sprintf("slot:%s-gpu%d", p.GPUAt[i], i), float64(m.PCIeX16), in)
-		de := g.AddEdge(n.GPUNode[i], n.T, 0)
-		bis.AddFixedEdge(de, d.PerGPU[i])
-		n.demandEdge[i] = de
+	nodes.gpu = resize(nodes.gpu, m.NumGPUs)
+	for i := range nodes.gpu {
+		nodes.gpu[i] = g.AddNode(prefix + "gpu" + strconv.Itoa(i))
+		in := f.rate(nodes.ap[p.GPUAt[i]], nodes.gpu[i], float64(m.PCIeX16))
+		de := f.fixed(nodes.gpu[i], t, d.PerGPU[i])
+		if n != nil {
+			n.trackLink("slot:"+p.GPUAt[i]+"-gpu"+strconv.Itoa(i), float64(m.PCIeX16), in)
+			n.demandEdge[i] = de
+		}
 	}
 
 	// HBM peer-serving storage nodes: egress over the GPU's own x16 link
 	// (duplex: independent of its ingress), plus NVLink shortcuts.
-	n.HBMNode = resize(n.HBMNode, m.NumGPUs)
-	n.supplyHBM = resize(n.supplyHBM, m.NumGPUs)
-	for i := range n.HBMNode {
-		n.HBMNode[i] = -1
-		n.supplyHBM[i] = -1
+	nodes.hbm = resize(nodes.hbm, m.NumGPUs)
+	for i := range nodes.hbm {
+		nodes.hbm[i] = -1
 	}
 	if d.HBMPeer != nil {
-		for i := 0; i < m.NumGPUs; i++ {
-			h := g.AddNode(fmt.Sprintf("hbm%d", i))
-			n.HBMNode[i] = h
-			se := g.AddEdge(n.S, h, 0)
-			bis.AddFixedEdge(se, d.HBMPeer[i])
-			n.supplyHBM[i] = se
-			out := g.AddEdge(h, n.APNode[p.GPUAt[i]], 0)
-			bis.AddRateEdge(out, float64(m.PCIeX16))
-			n.trackLink(fmt.Sprintf("p2p-egress:gpu%d", i), float64(m.PCIeX16), out)
+		for i := range nodes.hbm {
+			nodes.hbm[i] = g.AddNode(prefix + "hbm" + strconv.Itoa(i))
+			se := f.fixed(s, nodes.hbm[i], d.HBMPeer[i])
+			out := f.rate(nodes.hbm[i], nodes.ap[p.GPUAt[i]], float64(m.PCIeX16))
+			if n != nil {
+				n.supplyHBM[i] = se
+				n.trackLink("p2p-egress:gpu"+strconv.Itoa(i), float64(m.PCIeX16), out)
+			}
 		}
 		for _, nv := range m.NVLinks {
 			// NVLink lets each side's cache feed the other directly.
-			e1 := g.AddEdge(n.HBMNode[nv.A], n.GPUNode[nv.B], 0)
-			e2 := g.AddEdge(n.HBMNode[nv.B], n.GPUNode[nv.A], 0)
-			bis.AddRateEdge(e1, float64(m.NVLinkBW))
-			bis.AddRateEdge(e2, float64(m.NVLinkBW))
-			n.trackLink(fmt.Sprintf("nvlink:gpu%d-gpu%d", nv.A, nv.B), float64(m.NVLinkBW), e1, e2)
+			e1 := f.rate(nodes.hbm[nv.A], nodes.gpu[nv.B], float64(m.NVLinkBW))
+			e2 := f.rate(nodes.hbm[nv.B], nodes.gpu[nv.A], float64(m.NVLinkBW))
+			if n != nil {
+				n.trackLink("nvlink:gpu"+strconv.Itoa(nv.A)+"-gpu"+strconv.Itoa(nv.B), float64(m.NVLinkBW), e1, e2)
+			}
 		}
 	}
 
 	// DRAM storage nodes (per socket).
-	for _, rc := range rcs {
-		budget := 0.0
-		if d.DRAM != nil {
-			budget = d.DRAM[rc]
+	nodes.dram = resize(nodes.dram, len(rcs))
+	for i, rc := range rcs {
+		nodes.dram[i] = g.AddNode(prefix + "dram:" + rc)
+		se := f.fixed(s, nodes.dram[i], d.DRAM[rc])
+		out := f.rate(nodes.dram[i], nodes.ap[rc], float64(m.DRAMBW))
+		if n != nil {
+			n.supplyDRAM[rc] = se
+			n.trackLink("dram-egress:"+rc, float64(m.DRAMBW), out)
 		}
-		dn := g.AddNode("dram:" + rc)
-		n.DRAMNode[rc] = dn
-		se := g.AddEdge(n.S, dn, 0)
-		bis.AddFixedEdge(se, budget)
-		n.supplyDRAM[rc] = se
-		out := g.AddEdge(dn, n.APNode[rc], 0)
-		bis.AddRateEdge(out, float64(m.DRAMBW))
-		n.trackLink("dram-egress:"+rc, float64(m.DRAMBW), out)
 	}
-	if d.DRAM != nil {
-		for rc := range d.DRAM {
-			if _, ok := n.DRAMNode[rc]; !ok {
-				return nil, fmt.Errorf("flownet: DRAM budget for unknown socket %q", rc)
-			}
+	for rc := range d.DRAM {
+		if !slices.Contains(rcs, rc) {
+			return fmt.Errorf("flownet: DRAM budget for unknown socket %q", rc)
 		}
 	}
 
 	// SSD storage nodes. Each SSD's service rate is min(device BW, bay
 	// link); with a free tier budget an aggregator pool lets max-flow
 	// choose the per-SSD split.
-	n.SSDNode = resize(n.SSDNode, m.NumSSDs)
-	n.supplySSD = resize(n.supplySSD, m.NumSSDs)
 	ssdRate := math.Min(float64(m.SSDBW), float64(m.PCIeX4))
+	pool := -1
 	if d.SSDPer == nil && m.NumSSDs > 0 {
-		n.PoolNode = g.AddNode("ssdpool")
-		se := g.AddEdge(n.S, n.PoolNode, 0)
-		bis.AddFixedEdge(se, d.SSDTotal)
-		n.supplyPool = se
-	}
-	for i := 0; i < m.NumSSDs; i++ {
-		sn := g.AddNode(fmt.Sprintf("ssd%d", i))
-		n.SSDNode[i] = sn
-		if d.SSDPer != nil {
-			se := g.AddEdge(n.S, sn, 0)
-			bis.AddFixedEdge(se, d.SSDPer[i])
-			n.supplySSD[i] = se
-		} else {
-			se := g.AddEdge(n.PoolNode, sn, 0)
-			bis.AddRateEdge(se, maxflow.Inf)
-			n.supplySSD[i] = se
+		pool = g.AddNode(prefix + "ssdpool")
+		se := f.fixed(s, pool, d.SSDTotal)
+		if n != nil {
+			n.supplyPool = se
 		}
-		out := g.AddEdge(sn, n.APNode[p.SSDAt[i]], 0)
-		bis.AddRateEdge(out, ssdRate)
-		n.trackLink(fmt.Sprintf("bay:%s-ssd%d", p.SSDAt[i], i), ssdRate, out)
 	}
-	return n, nil
+	nodes.ssd = resize(nodes.ssd, m.NumSSDs)
+	for i := range nodes.ssd {
+		nodes.ssd[i] = g.AddNode(prefix + "ssd" + strconv.Itoa(i))
+		var se maxflow.EdgeID
+		if d.SSDPer != nil {
+			se = f.fixed(s, nodes.ssd[i], d.SSDPer[i])
+		} else {
+			se = f.rate(pool, nodes.ssd[i], maxflow.Inf)
+		}
+		out := f.rate(nodes.ssd[i], nodes.ap[p.SSDAt[i]], ssdRate)
+		if n != nil {
+			n.supplySSD[i] = se
+			n.trackLink("bay:"+p.SSDAt[i]+"-ssd"+strconv.Itoa(i), ssdRate, out)
+		}
+	}
+	return nil
 }
 
 // resize returns s truncated or regrown to length n, reusing the backing
@@ -400,7 +449,6 @@ func (n *Network) Solve() (units.Duration, error) {
 		after := n.G.Stats()
 		o.Counter("maxflow_solves_total").Add(float64(after.Solves - before.Solves))
 		o.Counter("maxflow_augmenting_paths_total").Add(float64(after.AugmentingPaths - before.AugmentingPaths))
-		o.Counter("maxflow_relabels_total").Add(float64(after.Relabels - before.Relabels))
 		o.Histogram("maxflow_bisection_iterations").Observe(float64(n.bis.Iterations))
 		o.Histogram("maxflow_bisection_probes").Observe(float64(n.bis.Probes))
 		o.Histogram("flownet_solve_seconds").Observe(time.Since(wall).Seconds())

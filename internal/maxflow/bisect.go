@@ -33,7 +33,6 @@ type TimeBisector struct {
 	G      *Graph
 	S, T   int
 	Demand float64 // total bytes that must arrive at the sink
-	Solver Solver
 
 	// Ctx, when non-nil, lets an abandoned caller stop MinTime early: it
 	// checks the context before every max-flow solve and returns the
@@ -121,7 +120,7 @@ func (b *TimeBisector) apply(t float64) {
 func (b *TimeBisector) Feasible(t float64) bool {
 	b.Probes++
 	b.apply(max(t, 0))
-	return b.G.MaxFlow(b.S, b.T, b.Solver) >= b.Demand-relEps(b.Demand)
+	return b.G.MaxFlow(b.S, b.T) >= b.Demand-relEps(b.Demand)
 }
 
 func relEps(v float64) float64 {

@@ -45,7 +45,7 @@ func FuzzTimeBisector(f *testing.F) {
 		// Demand below the fixed-budget sum keeps the instance feasible at
 		// some horizon; the interesting question is where the boundary is.
 		b.Demand = totalFixed * 0.9
-		min, err := checkMinTime(t, "fuzz", b)
+		min, err := checkMinTime(t, "fuzz", b, Dinic)
 		if err != nil {
 			t.Fatalf("feasible-by-construction instance failed: %v", err)
 		}

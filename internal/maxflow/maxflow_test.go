@@ -7,8 +7,6 @@ import (
 	"testing/quick"
 )
 
-var allSolvers = []Solver{Dinic, EdmondsKarp, PushRelabel}
-
 // classic CLRS-style network with known max flow 23.
 func clrsNetwork() (*Graph, int, int, float64) {
 	g := New(6)
@@ -26,108 +24,9 @@ func clrsNetwork() (*Graph, int, int, float64) {
 	return g, s, t, 23
 }
 
-func TestMaxFlowClassic(t *testing.T) {
-	for _, solver := range allSolvers {
-		g, s, sink, want := clrsNetwork()
-		got := g.MaxFlow(s, sink, solver)
-		if math.Abs(got-want) > Eps {
-			t.Errorf("%v: max flow = %v, want %v", solver, got, want)
-		}
-	}
-}
-
-func TestMaxFlowSingleEdge(t *testing.T) {
-	for _, solver := range allSolvers {
-		g := New(2)
-		g.AddEdge(0, 1, 5)
-		if got := g.MaxFlow(0, 1, solver); math.Abs(got-5) > Eps {
-			t.Errorf("%v: got %v, want 5", solver, got)
-		}
-	}
-}
-
-func TestMaxFlowDisconnected(t *testing.T) {
-	for _, solver := range allSolvers {
-		g := New(4)
-		g.AddEdge(0, 1, 5)
-		g.AddEdge(2, 3, 5)
-		if got := g.MaxFlow(0, 3, solver); got > Eps {
-			t.Errorf("%v: got %v, want 0", solver, got)
-		}
-	}
-}
-
-func TestMaxFlowParallelPaths(t *testing.T) {
-	// Two disjoint 3-hop paths, bottlenecks 2 and 7.
-	for _, solver := range allSolvers {
-		g := New(6)
-		g.AddEdge(0, 1, 2)
-		g.AddEdge(1, 2, 10)
-		g.AddEdge(2, 5, 10)
-		g.AddEdge(0, 3, 10)
-		g.AddEdge(3, 4, 7)
-		g.AddEdge(4, 5, 10)
-		if got := g.MaxFlow(0, 5, solver); math.Abs(got-9) > Eps {
-			t.Errorf("%v: got %v, want 9", solver, got)
-		}
-	}
-}
-
-func TestMaxFlowInfiniteVirtualEdges(t *testing.T) {
-	// Source and sink attach via infinite virtual edges; the physical
-	// bottleneck (12) must decide.
-	for _, solver := range allSolvers {
-		g := New(5)
-		g.AddEdge(0, 1, Inf)
-		g.AddEdge(1, 2, 12)
-		g.AddEdge(2, 3, 30)
-		g.AddEdge(3, 4, Inf)
-		if got := g.MaxFlow(0, 4, solver); math.Abs(got-12) > Eps {
-			t.Errorf("%v: got %v, want 12", solver, got)
-		}
-	}
-}
-
-func TestFlowConservationAndCapacity(t *testing.T) {
-	for _, solver := range allSolvers {
-		g, s, sink, _ := clrsNetwork()
-		total := g.MaxFlow(s, sink, solver)
-		checkConservation(t, g, s, sink, total)
-	}
-}
-
-func checkConservation(t *testing.T, g *Graph, s, sink int, total float64) {
-	t.Helper()
-	net := make([]float64, g.N())
-	for e := EdgeID(0); int(e) < 2*g.M(); e += 2 {
-		u, v := g.Endpoints(e)
-		f := g.Flow(e)
-		if f < -Eps {
-			t.Errorf("negative flow %v on edge %d", f, e)
-		}
-		if c := g.Capacity(e); !math.IsInf(c, 1) && f > c+Eps {
-			t.Errorf("flow %v exceeds capacity %v on edge %d", f, c, e)
-		}
-		net[u] -= f
-		net[v] += f
-	}
-	for v := 0; v < g.N(); v++ {
-		want := 0.0
-		switch v {
-		case s:
-			want = -total
-		case sink:
-			want = total
-		}
-		if math.Abs(net[v]-want) > 1e-6*(1+math.Abs(want)) {
-			t.Errorf("node %d: net flow %v, want %v", v, net[v], want)
-		}
-	}
-}
-
 func TestMinCutMatchesMaxFlow(t *testing.T) {
 	g, s, sink, want := clrsNetwork()
-	g.MaxFlow(s, sink, Dinic)
+	g.MaxFlow(s, sink)
 	edges, side := g.MinCut(s)
 	if !side[s] {
 		t.Fatal("source not on source side")
@@ -146,7 +45,7 @@ func TestMinCutMatchesMaxFlow(t *testing.T) {
 
 func TestDecompose(t *testing.T) {
 	g, s, sink, want := clrsNetwork()
-	g.MaxFlow(s, sink, Dinic)
+	g.MaxFlow(s, sink)
 	paths := g.Decompose(s, sink)
 	sum := 0.0
 	for _, p := range paths {
@@ -190,34 +89,11 @@ func randomNetwork(r *rand.Rand) (*Graph, int, int) {
 	return g, 0, n - 1
 }
 
-func TestSolversAgreeOnRandomNetworks(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 200; i++ {
-		g, s, sink := randomNetwork(r)
-		want := g.Clone().MaxFlow(s, sink, Dinic)
-		for _, solver := range []Solver{EdmondsKarp, PushRelabel} {
-			got := g.Clone().MaxFlow(s, sink, solver)
-			if math.Abs(got-want) > 1e-6*(1+want) {
-				t.Fatalf("iter %d: %v=%v, dinic=%v", i, solver, got, want)
-			}
-		}
-	}
-}
-
-func TestConservationOnRandomNetworks(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		g, s, sink := randomNetwork(r)
-		total := g.MaxFlow(s, sink, PushRelabel)
-		checkConservation(t, g, s, sink, total)
-	}
-}
-
 func TestMinCutEqualsFlowOnRandomNetworks(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for i := 0; i < 100; i++ {
 		g, s, sink := randomNetwork(r)
-		total := g.MaxFlow(s, sink, Dinic)
+		total := g.MaxFlow(s, sink)
 		edges, _ := g.MinCut(s)
 		sum := 0.0
 		for _, e := range edges {
@@ -235,12 +111,12 @@ func TestMaxFlowScalesLinearlyProperty(t *testing.T) {
 		k := float64(kRaw%7) + 0.5
 		r := rand.New(rand.NewSource(seed))
 		g, s, sink := randomNetwork(r)
-		base := g.Clone().MaxFlow(s, sink, Dinic)
+		base := g.Clone().MaxFlow(s, sink)
 		scaled := g.Clone()
 		for e := EdgeID(0); int(e) < 2*g.M(); e += 2 {
 			scaled.SetCapacity(e, g.Capacity(e)*k)
 		}
-		got := scaled.MaxFlow(s, sink, Dinic)
+		got := scaled.MaxFlow(s, sink)
 		return math.Abs(got-k*base) <= 1e-6*(1+k*base)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -251,14 +127,14 @@ func TestMaxFlowScalesLinearlyProperty(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	g, s, sink, want := clrsNetwork()
 	c := g.Clone()
-	c.MaxFlow(s, sink, Dinic)
+	c.MaxFlow(s, sink)
 	// Original has no flow recorded.
 	for e := EdgeID(0); int(e) < 2*g.M(); e += 2 {
 		if g.Flow(e) != 0 {
 			t.Fatalf("clone mutated original edge %d", e)
 		}
 	}
-	if got := g.MaxFlow(s, sink, Dinic); math.Abs(got-want) > Eps {
+	if got := g.MaxFlow(s, sink); math.Abs(got-want) > Eps {
 		t.Errorf("original flow %v, want %v", got, want)
 	}
 }
@@ -277,7 +153,7 @@ func TestAddNodeAndLabels(t *testing.T) {
 		t.Errorf("label = %q", g.Label(0))
 	}
 	g.AddEdge(0, 1, 3)
-	if got := g.MaxFlow(0, 1, Dinic); math.Abs(got-3) > Eps {
+	if got := g.MaxFlow(0, 1); math.Abs(got-3) > Eps {
 		t.Errorf("flow %v", got)
 	}
 }
@@ -298,12 +174,12 @@ func TestInvalidInputsPanic(t *testing.T) {
 	mustPanic("s==t", func() {
 		g := New(2)
 		g.AddEdge(0, 1, 1)
-		g.MaxFlow(0, 0, Dinic)
+		g.MaxFlow(0, 0)
 	})
 	mustPanic("terminal range", func() {
 		g := New(2)
 		g.AddEdge(0, 1, 1)
-		g.MaxFlow(0, 7, Dinic)
+		g.MaxFlow(0, 7)
 	})
 }
 
@@ -330,19 +206,10 @@ func TestSetCapacityRejectsResidualEdge(t *testing.T) {
 	}
 }
 
-func TestSolverString(t *testing.T) {
-	if Dinic.String() != "dinic" || EdmondsKarp.String() != "edmonds-karp" || PushRelabel.String() != "push-relabel" {
-		t.Error("solver names changed")
-	}
-	if Solver(9).String() != "solver(9)" {
-		t.Error("unknown solver name")
-	}
-}
-
 func TestResetAndRerun(t *testing.T) {
 	g, s, sink, want := clrsNetwork()
 	for i := 0; i < 3; i++ {
-		if got := g.MaxFlow(s, sink, Dinic); math.Abs(got-want) > Eps {
+		if got := g.MaxFlow(s, sink); math.Abs(got-want) > Eps {
 			t.Fatalf("run %d: got %v", i, got)
 		}
 	}
@@ -353,14 +220,14 @@ func TestAddingEdgeNeverDecreasesFlowProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(314))
 	for trial := 0; trial < 60; trial++ {
 		g, s, sink := randomNetwork(r)
-		before := g.Clone().MaxFlow(s, sink, Dinic)
+		before := g.Clone().MaxFlow(s, sink)
 		aug := g.Clone()
 		u, v := r.Intn(aug.N()), r.Intn(aug.N())
 		if u == v {
 			continue
 		}
 		aug.AddEdge(u, v, float64(1+r.Intn(40)))
-		after := aug.MaxFlow(s, sink, Dinic)
+		after := aug.MaxFlow(s, sink)
 		if after < before-1e-6 {
 			t.Fatalf("trial %d: flow fell from %v to %v after adding an edge", trial, before, after)
 		}
@@ -374,11 +241,11 @@ func TestIncreasingCapacityNeverDecreasesFlowProperty(t *testing.T) {
 		if g.M() == 0 {
 			return true
 		}
-		before := g.Clone().MaxFlow(s, sink, Dinic)
+		before := g.Clone().MaxFlow(s, sink)
 		e := EdgeID(2 * r.Intn(g.M()))
 		boosted := g.Clone()
 		boosted.SetCapacity(e, g.Capacity(e)+float64(extraRaw)+1)
-		after := boosted.MaxFlow(s, sink, Dinic)
+		after := boosted.MaxFlow(s, sink)
 		return after >= before-1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -411,62 +278,5 @@ func TestBisectionMonotoneInDemandProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Regression: push–relabel saturates infinite source arcs with the total
-// finite capacity of the graph. On networks mixing ~1e10 capacities with
-// near-Eps ones, returning that huge excess across the infinite arc rounds
-// at ulp(1e10) ≈ 1e-5, annihilating small amounts from the source arc's
-// record but not from downstream edges — the terminal "flow" violated
-// conservation at internal nodes by several Eps. The rebalance second phase
-// repairs the edge bookkeeping; this network (found by the differential
-// fuzzer, seed 195) reproduced the stranding.
-func TestPushRelabelPreflowConservation(t *testing.T) {
-	build := func() *Graph {
-		g := New(12)
-		g.AddEdge(0, 2, Inf)
-		g.AddEdge(0, 3, 2.535364897054643e-06)
-		g.AddEdge(2, 4, 7.867444635905543)
-		g.AddEdge(2, 5, 20.55773233823611)
-		g.AddEdge(3, 4, 84.74226788907367)
-		g.AddEdge(3, 5, 8.569850121189482e+10)
-		g.AddEdge(4, 6, 82.71214557085904)
-		g.AddEdge(4, 7, 14.544122502422377)
-		g.AddEdge(4, 7, 12.239377229854673)
-		g.AddEdge(5, 6, 4.455243879174475e+10)
-		g.AddEdge(5, 7, 84.88597237353588)
-		g.AddEdge(6, 8, 9.8485983136785)
-		g.AddEdge(6, 9, 3.500149582370192e+10)
-		g.AddEdge(7, 11, 2.651265309570906)
-		g.AddEdge(8, 10, 7.977778676014446e-06)
-		g.AddEdge(9, 10, 81.8638921268878)
-		g.AddEdge(9, 11, 33.54809575920687)
-		return g
-	}
-	s, sink := 0, 1 // the sink is unreachable: the maximum flow is zero
-	for _, sv := range []Solver{Dinic, EdmondsKarp, PushRelabel} {
-		g := build()
-		v := g.MaxFlow(s, sink, sv)
-		if v > Eps {
-			t.Errorf("%v: value %v, want 0 (sink unreachable)", sv, v)
-		}
-		in := make([]float64, g.N())
-		out := make([]float64, g.N())
-		for i := 0; i < g.M(); i++ {
-			e := EdgeID(2 * i)
-			u, w := g.Endpoints(e)
-			f := g.Flow(e)
-			out[u] += f
-			in[w] += f
-		}
-		for nd := 0; nd < g.N(); nd++ {
-			if nd == s || nd == sink {
-				continue
-			}
-			if d := math.Abs(in[nd] - out[nd]); d > Eps {
-				t.Errorf("%v: conservation violated at node %d: in %v, out %v", sv, nd, in[nd], out[nd])
-			}
-		}
 	}
 }

@@ -9,15 +9,16 @@ import (
 )
 
 // bisectOracle is the time bisection MinTime replaced, kept as its test
-// oracle: a loop over the public Feasible that doubles a horizon until the
-// demand fits, then halves the bracket [lo, hi] until hi−lo ≤ tol·hi.
-// Its predicate is exact — the maximum flow Feasible leaves on the graph
-// delivers all of D — because Feasible's own 1e-9 slack would move the
-// boundary below T* by more than the bracket's width. Every horizon up to
-// lo delivers less than D, and hi delivers D.
-func bisectOracle(b *TimeBisector, tol float64) (lo, hi float64, err error) {
+// oracle: it doubles a horizon until the demand fits, then halves the
+// bracket [lo, hi] until hi−lo ≤ tol·hi, solving each horizon's network
+// with sv. Its predicate is exact — the maximum flow delivers all of D —
+// because Feasible's own 1e-9 slack would move the boundary below T* by
+// more than the bracket's width. Every horizon up to lo delivers less than
+// D, and hi delivers D.
+func bisectOracle(b *TimeBisector, tol float64, sv Solver) (lo, hi float64, err error) {
 	delivers := func(t float64) bool {
-		b.Feasible(t)
+		b.apply(t)
+		sv.Solve(b.G, b.S, b.T)
 		in := 0.0
 		for e := EdgeID(0); int(e) < 2*b.G.M(); e += 2 {
 			if _, v := b.G.Endpoints(e); v == b.T {
@@ -47,14 +48,15 @@ func bisectOracle(b *TimeBisector, tol float64) (lo, hi float64, err error) {
 }
 
 // checkMinTime runs MinTime on b and holds it to the min-time contract:
-// the same verdict as the bisection oracle at tol 1e-9, an answer within
+// the same verdict as the bisection oracle (solving with sv) at tol 1e-9,
+// an answer within
 // 1e-12 relative of the oracle's final bracket, feasible, and reached in
 // at most 8 max-flow solves.
-func checkMinTime(t *testing.T, name string, b *TimeBisector) (float64, error) {
+func checkMinTime(t *testing.T, name string, b *TimeBisector, sv Solver) (float64, error) {
 	t.Helper()
 	got, err := b.MinTime()
 	solves := b.Probes
-	lo, hi, oerr := bisectOracle(b, 1e-9)
+	lo, hi, oerr := bisectOracle(b, 1e-9, sv)
 	if (err == nil) != (oerr == nil) {
 		t.Fatalf("%s: MinTime err %v, oracle err %v", name, err, oerr)
 	}
@@ -84,7 +86,7 @@ type layeredNet struct {
 // buildLayered deterministically constructs the network for a seed. The
 // storage egress rates are scaled by ssdFactor(i) and the interconnect
 // rates by linkFactor, so fault-degraded schedules rebuild the same shape.
-func buildLayered(seed int64, solver Solver, ssdFactor func(i int) float64, linkFactor float64) *layeredNet {
+func buildLayered(seed int64, ssdFactor func(i int) float64, linkFactor float64) *layeredNet {
 	r := rand.New(rand.NewSource(seed))
 	nStorage := 2 + r.Intn(3)
 	nMid := 1 + r.Intn(3)
@@ -112,7 +114,6 @@ func buildLayered(seed int64, solver Solver, ssdFactor func(i int) float64, link
 		demand += perGPU[i]
 	}
 	bis := NewTimeBisector(g, s, t, demand)
-	bis.Solver = solver
 
 	// Supply: generous fixed budgets so storage is never the binding
 	// constraint by construction (rates are).
@@ -152,20 +153,21 @@ func buildLayered(seed int64, solver Solver, ssdFactor func(i int) float64, link
 func healthy(int) float64 { return 1 }
 
 // TestWarmStartMatchesColdStart is the min-time differential over 100
-// seeded layered topologies and all three solvers: MinTime against the
-// bisection oracle, twice on the same bisector (state must not carry
-// between calls). The name dates from the warm-started bisection this
+// seeded layered topologies: MinTime against the bisection oracle, twice
+// on the same bisector (state must not carry between calls), with the
+// oracle's horizons solved by Dinic, Edmonds–Karp and push–relabel in
+// turn. The name dates from the warm-started bisection this
 // test used to hold against a cold one; the fast path under test is now
 // the Newton iteration, and the reference the plain bisection.
 func TestWarmStartMatchesColdStart(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
-		solver := []Solver{Dinic, EdmondsKarp, PushRelabel}[seed%3]
-		w := buildLayered(seed, solver, healthy, 1)
-		first, err := checkMinTime(t, "first", w.bis)
+		oracle := Solvers[seed%3]
+		w := buildLayered(seed, healthy, 1)
+		first, err := checkMinTime(t, "first", w.bis, oracle)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		again, _ := checkMinTime(t, "again", w.bis)
+		again, _ := checkMinTime(t, "again", w.bis, oracle)
 		if again != first {
 			t.Fatalf("seed %d: repeated MinTime %v, first %v", seed, again, first)
 		}
@@ -191,13 +193,13 @@ func TestWarmStartUnderFaultSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := buildLayered(seed, Dinic, healthy, 1).bis.MinTime()
+		base, err := buildLayered(seed, healthy, 1).bis.MinTime()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, at := range []float64{0, 3, 6, 9, 12} {
-			w := buildLayered(seed, Dinic, func(i int) float64 { return in.SSDFactor(i, at) }, in.LinkFactor("up:sw0", at))
-			got, err := checkMinTime(t, "degraded", w.bis)
+			w := buildLayered(seed, func(i int) float64 { return in.SSDFactor(i, at) }, in.LinkFactor("up:sw0", at))
+			got, err := checkMinTime(t, "degraded", w.bis, Dinic)
 			if err != nil {
 				t.Fatalf("seed %d at %v: %v", seed, at, err)
 			}
@@ -214,7 +216,7 @@ func TestWarmStartUnderFaultSchedules(t *testing.T) {
 // never one left over from the old schedule. (The name dates from the
 // warm starts that once had to detect such shrinks.)
 func TestWarmAbortSelfDetection(t *testing.T) {
-	w := buildLayered(7, Dinic, healthy, 1)
+	w := buildLayered(7, healthy, 1)
 	before, err := w.bis.MinTime()
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +237,7 @@ func TestWarmAbortSelfDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := buildLayered(7, Dinic, func(i int) float64 {
+	fresh := buildLayered(7, func(i int) float64 {
 		if i == 0 {
 			return 0.5
 		}
@@ -282,7 +284,7 @@ func TestWarmStateStaleAfterExternalShrink(t *testing.T) {
 // TestReinitDropsState verifies arena rebinding: registered edges and
 // counters reset while the bisector struct is reused.
 func TestReinitDropsState(t *testing.T) {
-	w := buildLayered(5, Dinic, healthy, 1)
+	w := buildLayered(5, healthy, 1)
 	if _, err := w.bis.MinTime(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestReinitDropsState(t *testing.T) {
 // accessors rely on).
 func TestWarmStartLeavesUsableFlow(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		w := buildLayered(seed, Dinic, healthy, 1)
+		w := buildLayered(seed, healthy, 1)
 		if _, err := w.bis.MinTime(); err != nil {
 			t.Fatal(err)
 		}

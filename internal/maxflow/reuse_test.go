@@ -75,11 +75,11 @@ func TestClearRebuildMatchesFresh(t *testing.T) {
 		{name: "after-smaller-net", prep: func() { buildInto(arena, 99) }, seed: 2, solve: true},
 		{name: "after-solved-net", prep: func() {
 			s, tt, _ := buildInto(arena, 42)
-			arena.MaxFlow(s, tt, Dinic)
+			arena.MaxFlow(s, tt)
 		}, seed: 3, solve: true},
 		{name: "after-larger-net", prep: func() {
 			s, tt, _ := buildInto(arena, 77) // seed 77 builds a bigger shape than 4
-			arena.MaxFlow(s, tt, PushRelabel)
+			PushRelabel.Solve(arena, s, tt)
 		}, seed: 4, solve: true},
 		{name: "unsolved", prep: func() { buildInto(arena, 5) }, seed: 6, solve: false},
 	} {
@@ -104,8 +104,8 @@ func TestClearRebuildMatchesFresh(t *testing.T) {
 				}
 			}
 			if tc.solve {
-				fa := arena.MaxFlow(as, at, Dinic)
-				ff := fresh.MaxFlow(fs, ft, Dinic)
+				fa := arena.MaxFlow(as, at)
+				ff := fresh.MaxFlow(fs, ft)
 				if math.Abs(fa-ff) > Eps {
 					t.Fatalf("max flow %v on arena, %v on fresh graph", fa, ff)
 				}
@@ -146,7 +146,7 @@ func TestArenaRebuildAllocs(t *testing.T) {
 			e := arena.AddEdge(a.u, a.v, a.c)
 			arena.SetCapacity(e, a.c+1)
 		}
-		arena.MaxFlow(0, 1, Dinic)
+		arena.MaxFlow(0, 1)
 	}
 	rebuild() // grow the arrays once
 	if avg := testing.AllocsPerRun(200, rebuild); avg != 0 {

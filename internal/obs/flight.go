@@ -12,7 +12,7 @@ import (
 // The flight recorder is the forensic third of the obs layer (traces →
 // metrics → flight/explain): a fixed-size ring of structured wide events —
 // span completions, admission decisions, fault transitions, cache hits and
-// misses, probe aborts — cheap enough to leave on in production and dumped
+// misses, drift events — cheap enough to leave on in production and dumped
 // as JSON on demand (/debug/flight, obsflag -flight, watchdog bundles).
 // Aggregate counters say *that* a shed storm happened; the flight ring says
 // what the last few thousand decisions leading into it were.
@@ -30,8 +30,6 @@ const (
 	EvFault
 	// EvCache is a cache hit or miss (plan cache, score cache, layouts).
 	EvCache
-	// EvProbeAbort is a max-flow solve abandoned by cancellation.
-	EvProbeAbort
 	// EvWatchdog is an anomaly-watchdog rule trip.
 	EvWatchdog
 	// EvDrain is a lifecycle transition (drain begin/end, flush).
@@ -42,14 +40,13 @@ const (
 )
 
 var eventKindNames = [...]string{
-	EvSpan:       "span",
-	EvAdmission:  "admission",
-	EvFault:      "fault",
-	EvCache:      "cache",
-	EvProbeAbort: "probe_abort",
-	EvWatchdog:   "watchdog",
-	EvDrain:      "drain",
-	EvDrift:      "drift",
+	EvSpan:      "span",
+	EvAdmission: "admission",
+	EvFault:     "fault",
+	EvCache:     "cache",
+	EvWatchdog:  "watchdog",
+	EvDrain:     "drain",
+	EvDrift:     "drift",
 }
 
 func (k EventKind) String() string {

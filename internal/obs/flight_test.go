@@ -231,8 +231,8 @@ func TestDisabledFlightZeroAllocs(t *testing.T) {
 func TestEventKindString(t *testing.T) {
 	want := map[EventKind]string{
 		EvSpan: "span", EvAdmission: "admission", EvFault: "fault",
-		EvCache: "cache", EvProbeAbort: "probe_abort", EvWatchdog: "watchdog",
-		EvDrain: "drain", EventKind(200): "unknown",
+		EvCache: "cache", EvWatchdog: "watchdog", EvDrain: "drain",
+		EvDrift: "drift", EventKind(200): "unknown",
 	}
 	for k, s := range want {
 		if k.String() != s {

@@ -30,12 +30,93 @@ import (
 	"moment/internal/units"
 )
 
+// MaxCandidates bounds the placements Enumerate lists. Every candidate
+// costs a flow build and solve, and the largest real machine (the
+// examples/customserver chassis) has 370, so a spec past this bound is
+// rejected before anything is allocated for it.
+const MaxCandidates = 1 << 16
+
+// CountCandidates returns how many placements Enumerate lists for m — the
+// number of GPU slot compositions times the number of SSD bay
+// compositions — saturating at MaxCandidates+1. Its time and memory stay
+// small whatever the device counts (see countCompositions).
+func CountCandidates(m *topology.Machine) int {
+	gpuCaps := make([]int, len(m.Points))
+	ssdCaps := make([]int, len(m.Points))
+	for i, p := range m.Points {
+		gpuCaps[i] = p.GPUSlots
+		ssdCaps[i] = p.Bays
+	}
+	const sat = MaxCandidates + 1
+	g, s := countCompositions(m.NumGPUs, gpuCaps), countCompositions(m.NumSSDs, ssdCaps)
+	if g != 0 && s > sat/g {
+		return sat
+	}
+	return g * s
+}
+
+// countCompositions counts the ways to write total as a sum over
+// len(caps) non-negative parts with parts[i] <= caps[i] (the compositions
+// Enumerate lists), saturating at MaxCandidates+1.
+//
+// The count is the coefficient of x^total in ∏(1 + x + … + x^cap), with
+// each cap clipped to total. That product is symmetric and unimodal, so
+// with r = min(total, slack), slack being the clipped caps' sum less
+// total, the count is at least the coefficient of x^2 (≥ k(k−1)/2 for k
+// nonzero caps) once r ≥ 2; it is also at least r+1. Large r, or large k
+// with r ≥ 2, therefore saturate at once, and otherwise a DP over degrees
+// 0..r (x^total and x^slack share a coefficient) costs k·r steps: O(k)
+// for r = 1, and under 363·MaxCandidates for r ≥ 2.
+func countCompositions(total int, caps []int) int {
+	const sat = MaxCandidates + 1
+	if total < 0 {
+		return 0
+	}
+	var clipped []int
+	sum := 0
+	for _, c := range caps {
+		if c = min(c, total); c > 0 {
+			clipped = append(clipped, c)
+			sum += c
+		}
+	}
+	if sum < total {
+		return 0
+	}
+	r, k := min(total, sum-total), len(clipped)
+	switch {
+	case r == 0:
+		return 1
+	case r >= sat || (r >= 2 && k*(k-1)/2 >= sat):
+		return sat
+	}
+	// ways[j] counts the compositions of j over the caps seen so far; a
+	// new cap c makes it the window sum of ways[j-c..j], read off prefix
+	// sums of saturated counts (at most (r+1)·sat < 2^33).
+	ways := make([]int, r+1)
+	prefix := make([]int, r+2)
+	ways[0] = 1
+	for _, c := range clipped {
+		for j, w := range ways {
+			prefix[j+1] = prefix[j] + w
+		}
+		for j := range ways {
+			ways[j] = min(prefix[j+1]-prefix[max(0, j-c)], sat)
+		}
+	}
+	return ways[r]
+}
+
 // Enumerate lists every slot-feasible placement of m's device inventory,
 // honoring physical slot constraints (x16 dual-width for GPUs, U.2 bays
-// for SSDs). The result is not symmetry-reduced; see Dedupe.
+// for SSDs). The result is not symmetry-reduced; see Dedupe. A machine
+// with more than MaxCandidates placements is an error.
 func Enumerate(m *topology.Machine) ([]*topology.Placement, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
+	}
+	if CountCandidates(m) > MaxCandidates {
+		return nil, fmt.Errorf("placement: machine %s has over %d placement candidates", m.Name, MaxCandidates)
 	}
 	gpuCaps := make([]int, len(m.Points))
 	ssdCaps := make([]int, len(m.Points))

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -80,6 +81,93 @@ func TestCompositions(t *testing.T) {
 	}
 	if len(compositions(5, []int{2, 2})) != 0 {
 		t.Error("infeasible total should have no compositions")
+	}
+}
+
+// TestCountCandidatesMatchesEnumerate pins the counting DP to the
+// listing on every real machine: A (45), B (144), C and the
+// examples/customserver chassis (370).
+func TestCountCandidatesMatchesEnumerate(t *testing.T) {
+	for _, m := range []*topology.Machine{topology.MachineA(), topology.MachineB(), topology.MachineC(), customMachine(t)} {
+		ps, err := Enumerate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := CountCandidates(m); got != len(ps) {
+			t.Errorf("%s: CountCandidates %d, Enumerate lists %d", m.Name, got, len(ps))
+		}
+	}
+}
+
+// TestCountCompositions holds the counting DP to the listing on random
+// small cap vectors, and to closed forms where it saturates or short-cuts.
+func TestCountCompositions(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		caps := make([]int, 1+r.Intn(6))
+		for j := range caps {
+			caps[j] = r.Intn(5)
+		}
+		total := r.Intn(16) - 1
+		want := 0
+		if total >= 0 {
+			want = len(compositions(total, caps))
+		}
+		if got := countCompositions(total, caps); got != want {
+			t.Fatalf("countCompositions(%d, %v) = %d, want %d", total, caps, got, want)
+		}
+	}
+	const sat = MaxCandidates + 1
+	ones := func(k int) []int {
+		caps := make([]int, k)
+		for i := range caps {
+			caps[i] = 1
+		}
+		return caps
+	}
+	for _, tc := range []struct {
+		name  string
+		total int
+		caps  []int
+		want  int
+	}{
+		{"one wide point", 1 << 30, []int{1 << 30, 0}, 1},
+		{"two wide points", 1 << 30, []int{1 << 30, 1 << 30}, sat},
+		{"362 choose 2", 2, ones(362), 362 * 361 / 2},
+		{"363 choose 2", 2, ones(363), sat},
+		{"one slack unit", 1<<20 - 1, ones(1 << 20), sat},
+		{"pair just saturates", 1 << 16, []int{1 << 16, 1 << 16}, sat},
+		{"pair just below", 1<<16 - 1, []int{1<<16 - 1, 1<<16 - 1}, 1 << 16},
+	} {
+		if got := countCompositions(tc.total, tc.caps); got != tc.want {
+			t.Errorf("%s: countCompositions = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestEnumerateRejectsTooManyCandidates: one root and six switches of 4
+// GPU slots and 4 bays holding 6 GPUs and 6 SSDs is 426² = 181,476
+// placements, past MaxCandidates; Enumerate refuses it without listing.
+func TestEnumerateRejectsTooManyCandidates(t *testing.T) {
+	m := &topology.Machine{
+		Name: "wide", QPIBW: 1, DRAMPerSocket: 1, DRAMBW: 1, GPUMemory: 1,
+		SSDCapacity: 1, SSDBW: 1, SSDIOPS: 1, PCIeX16: 1, PCIeX4: 1, NumNodes: 1,
+		NumGPUs: 6, NumSSDs: 6,
+		Points: []topology.AttachPoint{{ID: "rc0", Kind: topology.RootComplex}},
+	}
+	for i := 0; i < 6; i++ {
+		m.Points = append(m.Points, topology.AttachPoint{ID: fmt.Sprintf("sw%d", i),
+			Kind: topology.Switch, Parent: "rc0", UplinkBW: 1, Bays: 4, GPUSlots: 4})
+	}
+	if got := CountCandidates(m); got != MaxCandidates+1 {
+		t.Errorf("CountCandidates = %d, want saturated %d", got, MaxCandidates+1)
+	}
+	if _, err := Enumerate(m); err == nil {
+		t.Fatal("Enumerate listed 181,476 candidates")
+	}
+	m.NumGPUs, m.NumSSDs = 2, 2 // 21² = 441
+	if ps, err := Enumerate(m); err != nil || len(ps) != 441 {
+		t.Fatalf("2 GPUs, 2 SSDs: %d candidates, %v; want 441", len(ps), err)
 	}
 }
 

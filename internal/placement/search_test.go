@@ -69,7 +69,6 @@ var (
 	solverCounters = []string{
 		"maxflow_solves_total",
 		"maxflow_augmenting_paths_total",
-		"maxflow_relabels_total",
 	}
 	solverHistograms = []string{"maxflow_bisection_probes", "maxflow_bisection_iterations"}
 )

@@ -21,6 +21,7 @@ import (
 	"moment/internal/faults"
 	"moment/internal/gnn"
 	"moment/internal/graph"
+	"moment/internal/placement"
 	"moment/internal/scorecache"
 	"moment/internal/topology"
 	"moment/internal/trainsim"
@@ -208,6 +209,9 @@ func canonicalize(req *PlanRequest, defaultDeadline, maxDeadline time.Duration) 
 	}
 	if err := m.Validate(); err != nil {
 		return nil, badReq("machine: %v", err)
+	}
+	if placement.CountCandidates(m) > placement.MaxCandidates {
+		return nil, badReq("machine: over %d placement candidates", placement.MaxCandidates)
 	}
 
 	if req.Workload.Dataset == "" {

@@ -595,6 +595,23 @@ func TestEndpoints(t *testing.T) {
 }
 
 // TestBadRequests maps malformed input to 400 and wrong methods to 405.
+// wideSpec is one root and six switches of 4 GPU slots and 4 bays each,
+// holding 6 GPUs and 6 SSDs: some 550 bytes of spec, 181,476 placements.
+const wideSpec = `machine wide
+qpi 20GiB/s
+dram 256GiB 36GiB/s
+gpus 6 mem=40GiB cachefrac=0.15
+ssds 6 cap=3.84TiB bw=6GiB/s iops=930000
+pcie x16=20GiB/s x4=7GiB/s
+point rc0 root bays=0 gpuslots=0
+point sw0 switch parent=rc0 uplink=20GiB/s bays=4 gpuslots=4
+point sw1 switch parent=rc0 uplink=20GiB/s bays=4 gpuslots=4
+point sw2 switch parent=rc0 uplink=20GiB/s bays=4 gpuslots=4
+point sw3 switch parent=rc0 uplink=20GiB/s bays=4 gpuslots=4
+point sw4 switch parent=rc0 uplink=20GiB/s bays=4 gpuslots=4
+point sw5 switch parent=rc0 uplink=20GiB/s bays=4 gpuslots=4
+`
+
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{}, nil)
 	ts := httptest.NewServer(s)
@@ -618,6 +635,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad spec", `{"machine_spec":"gibberish","workload":{"dataset":"PA"}}`, http.StatusBadRequest},
 		{"negative deadline", `{"machine":"B","workload":{"dataset":"PA"},"deadline_ms":-5}`, http.StatusBadRequest},
 		{"batch over train set", `{"machine":"B","workload":{"dataset":"PA","batch_size":1099511627776}}`, http.StatusBadRequest},
+		// 426² = 181,476 placements, past placement.MaxCandidates.
+		{"too many candidates", `{"machine_spec":` + strconv.Quote(wideSpec) + `,"workload":{"dataset":"PA"}}`, http.StatusBadRequest},
 		// The search takes no tolerance (min time is exact); the strict
 		// decoder rejects the field instead of ignoring it.
 		{"removed tolerance", `{"machine":"B","workload":{"dataset":"PA"},"search":{"tolerance":1e-3}}`, http.StatusBadRequest},

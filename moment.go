@@ -45,10 +45,6 @@ type (
 	Machine = topology.Machine
 	// Placement assigns GPUs and SSDs to attach points.
 	Placement = topology.Placement
-	// AttachPoint is a root complex or PCIe switch with slots.
-	AttachPoint = topology.AttachPoint
-	// NVLinkPair bridges two GPUs.
-	NVLinkPair = topology.NVLinkPair
 	// ClassicLayout names the four §2.3 hardware layouts.
 	ClassicLayout = topology.ClassicLayout
 )
@@ -84,20 +80,11 @@ type (
 	// events (SSD fail-stops, throttles, link downtrains, GPU stragglers,
 	// transient error bursts).
 	FaultSchedule = faults.Schedule
-	// FaultEvent is one scheduled fault.
-	FaultEvent = faults.Event
-	// RetryPolicy governs retry/backoff/timeout handling under faults.
-	RetryPolicy = faults.RetryPolicy
-	// FaultReport summarizes how a faulted epoch degraded.
-	FaultReport = trainsim.FaultReport
 )
 
 // ParseFaultSpec decodes the command-line fault grammar, e.g.
 // "seed=7;kill:ssd2@30;throttle:ssd1@10x0.5+20".
 func ParseFaultSpec(spec string) (*FaultSchedule, error) { return faults.Parse(spec) }
-
-// FormatFaultSpec renders a schedule back into the spec grammar.
-func FormatFaultSpec(s *FaultSchedule) string { return faults.Format(s) }
 
 // Model kinds (§4.1).
 const (
@@ -117,24 +104,14 @@ const (
 	LayoutD = topology.LayoutD
 )
 
-// Data placement policies (§3.3).
-const (
-	// PolicyDDAK is the data-distribution-aware knapsack.
-	PolicyDDAK = trainsim.PolicyDDAK
-	// PolicyHash is the uniform hash baseline.
-	PolicyHash = trainsim.PolicyHash
-)
+// PolicyHash is the uniform hash data-placement baseline (§3.3); the zero
+// SimConfig.Policy is DDAK.
+const PolicyHash = trainsim.PolicyHash
 
-// GPU cache organizations.
-const (
-	// CacheReplicated: every GPU caches the same hot vertices (default).
-	CacheReplicated = trainsim.CacheReplicated
-	// CachePartitioned: caches hold distinct vertices, peers served over
-	// the fabric.
-	CachePartitioned = trainsim.CachePartitioned
-	// CachePaired: NVLink pairs partition their combined capacity (Fig 18).
-	CachePaired = trainsim.CachePaired
-)
+// CachePartitioned makes GPU caches hold distinct vertices, peers served
+// over the fabric; the zero SimConfig.Cache replicates every GPU's
+// cache.
+const CachePartitioned = trainsim.CachePartitioned
 
 // MachineA returns the balanced-PCIe evaluation server (Table 1).
 func MachineA() *Machine { return topology.MachineA() }
@@ -148,12 +125,6 @@ func MachineC() *Machine { return topology.MachineC() }
 // ParseMachine reads a machine spec (the offline stand-in for
 // lspci/dmidecode extraction; see topology.FormatSpec for the format).
 func ParseMachine(r io.Reader) (*Machine, error) { return topology.ParseSpec(r) }
-
-// FormatMachine serializes a machine to the spec format.
-func FormatMachine(m *Machine) string { return topology.FormatSpec(m) }
-
-// Datasets returns the Table 2 catalog (PA, IG, UK, CL).
-func Datasets() []Dataset { return graph.Catalog() }
 
 // DatasetByName looks up a catalog dataset.
 func DatasetByName(name string) (Dataset, error) { return graph.DatasetByName(name) }
@@ -169,8 +140,7 @@ func MustDataset(name string) Dataset {
 
 // Optimize runs the automatic module (§3.1 Fig 8): profile → placement
 // search with symmetry reduction → max-flow scoring → DDAK data placement
-// → simulated epoch under the chosen plan. Options (WithObserver,
-// WithSearchOptions, WithSimConfig) customize the run.
+// → simulated epoch under the chosen plan. WithObserver traces the run.
 func Optimize(m *Machine, w Workload, opts ...Option) (*Plan, error) {
 	in := core.Input{Machine: m, Workload: w}
 	for _, o := range opts {
@@ -272,9 +242,3 @@ func ReadBenchRecords(path string) ([]BenchRecord, error) {
 // instead of returning a silently wrong plan. Costs roughly one extra
 // solve per audited call.
 func EnableSelfChecks() { verify.Enable() }
-
-// DisableSelfChecks removes the self-verification hooks.
-func DisableSelfChecks() { verify.Disable() }
-
-// SelfChecksEnabled reports whether planner self-verification is on.
-func SelfChecksEnabled() bool { return verify.Enabled() }

@@ -12,95 +12,28 @@ type (
 	// (counters, gauges, histograms with Prometheus-text and JSON
 	// exposition). A nil *Observer is fully disabled at zero cost.
 	Observer = obs.Observer
-	// TraceSpan is one traced operation; obtain them from Observer.Begin.
-	TraceSpan = obs.Span
-	// MetricLabel is one metric dimension (see Label).
-	MetricLabel = obs.Label
-
-	// FlightRecorder is the forensic event ring: a fixed-size, lock-light
-	// buffer of structured wide events (admission decisions, cache
-	// hits/misses, fault transitions, probe aborts, span completions),
-	// cheap enough to leave on in production and dumpable as JSON. Enable
-	// one on an Observer with Observer.EnableFlight; a nil recorder ignores
-	// Record at zero cost.
-	FlightRecorder = obs.FlightRecorder
-	// FlightEvent is one wide flight-recorder event; FlightEventKind
-	// classifies it (FlightSpan, FlightAdmission, ...).
-	FlightEvent     = obs.Event
-	FlightEventKind = obs.EventKind
 
 	// Explain is a plan-provenance trail: the search and layout stages
-	// append one ExplainStep per decision (candidate pruned and why,
-	// cache verdicts, bisector effort, final score breakdown), and the
-	// trail renders deterministically for a fixed request. Attach one via
+	// append one step per decision (candidate pruned and why, cache
+	// verdicts, bisector effort, final score breakdown), and the trail
+	// renders deterministically for a fixed request. Attach one via
 	// SearchOptions.Explain; nil costs nothing.
-	Explain     = obs.Explain
-	ExplainStep = obs.ExplainStep
-
-	// Watchdog runs anomaly rules (WatchdogRule) over an observer's
-	// metrics on a timer and, on a trip (WatchdogTrip), snapshots the
-	// flight ring plus goroutine/heap profiles into a diagnostics bundle.
-	Watchdog     = obs.Watchdog
-	WatchdogRule = obs.Rule
-	WatchdogTrip = obs.Trip
-
-	// LabelCap bounds a set of caller-controlled label values, aggregating
-	// overflow under "other" so unbounded inputs (tenants, error strings)
-	// cannot explode metric or event cardinality.
-	LabelCap = obs.LabelCap
+	Explain = obs.Explain
 )
-
-// Flight-event kinds, re-exported for building FlightEvents by hand.
-const (
-	FlightSpan       = obs.EvSpan
-	FlightAdmission  = obs.EvAdmission
-	FlightFault      = obs.EvFault
-	FlightCache      = obs.EvCache
-	FlightProbeAbort = obs.EvProbeAbort
-	FlightWatchdog   = obs.EvWatchdog
-	FlightDrain      = obs.EvDrain
-)
-
-// ExplainSeqSummary is the ExplainStep.Seq value that orders run-level
-// summary steps after every per-candidate step in a rendered trail.
-const ExplainSeqSummary = obs.SeqSummary
-
-// Watchdog rule kinds: a gauge ceiling, a counter delta per check, and a
-// regression against a learned EWMA baseline.
-const (
-	WatchdogMax      = obs.RuleMax
-	WatchdogDeltaMax = obs.RuleDeltaMax
-	WatchdogRegress  = obs.RuleRegress
-)
-
-// NewFlightRecorder returns a standalone flight ring holding the most
-// recent size events (<= 0 defaults to 4096). Most callers want
-// Observer.EnableFlight instead, which also records span completions.
-func NewFlightRecorder(size int) *FlightRecorder { return obs.NewFlightRecorder(size) }
 
 // NewExplain returns an empty provenance trail for SearchOptions.Explain.
 func NewExplain() *Explain { return obs.NewExplain() }
-
-// NewLabelCap returns a label-cardinality bound admitting at most max
-// distinct values (<= 0 defaults to 32).
-func NewLabelCap(max int) *LabelCap { return obs.NewLabelCap(max) }
 
 // NewObserver returns an enabled observer. Pass it via WithObserver (or the
 // Observer fields on SearchOptions / SimConfig), then export with
 // Observer.WriteTrace, WritePrometheus, or WriteMetricsJSON.
 func NewObserver() *Observer { return obs.New() }
 
-// Label builds a metric label, e.g. Label("bin", "hbm0").
-func Label(key, value string) MetricLabel { return obs.L(key, value) }
-
 // SetDefaultObserver installs a process-wide fallback observer used by any
 // planner entry point whose caller did not inject one (nil disables). Use
 // it to instrument code paths — like the experiment generators — that do
 // not thread options.
 func SetDefaultObserver(o *Observer) { obs.SetDefault(o) }
-
-// DefaultObserver returns the process-wide fallback observer, or nil.
-func DefaultObserver() *Observer { return obs.Default() }
 
 // Option customizes an Optimize run.
 type Option func(*core.Input)
@@ -109,15 +42,4 @@ type Option func(*core.Input)
 // and pruning, max-flow scoring, DDAK bin fills, the simulated epoch — to o.
 func WithObserver(o *Observer) Option {
 	return func(in *core.Input) { in.Observer = o }
-}
-
-// WithSearchOptions sets the placement-search knobs.
-func WithSearchOptions(opts SearchOptions) Option {
-	return func(in *core.Input) { in.Search = opts }
-}
-
-// WithSimConfig sets the epoch-simulation knobs other than
-// machine/placement (policy, cache mode, pooling, ...).
-func WithSimConfig(cfg SimConfig) Option {
-	return func(in *core.Input) { in.Sim = cfg }
 }

@@ -26,8 +26,6 @@ type (
 	PlanResponse = server.PlanResponse
 	WorkloadSpec = server.WorkloadSpec
 	SearchSpec   = server.SearchSpec
-	// PlanServerStats is the /v1/stats document.
-	PlanServerStats = server.Stats
 	// ExplainResponse is the JSON schema of POST /v1/explain: the plan
 	// provenance trail for one request, byte-deterministic for a fixed
 	// problem.
@@ -45,28 +43,6 @@ func NewPlanServer(cfg PlanServerConfig) *PlanServer { return server.New(cfg) }
 // RunLoadTest drives a zipf-skewed synthetic tenant mix against a fresh
 // in-process PlanServer and reports coalescing/shedding/latency accounting.
 func RunLoadTest(cfg LoadTestConfig) (*LoadTestRecord, error) { return loadtest.Run(cfg) }
-
-// MetricsHandler serves an observer's registry as Prometheus text; nil uses
-// the process default observer.
-func MetricsHandler(o *Observer) http.Handler { return server.MetricsHandler(o) }
-
-// TraceHandler serves an observer's span log as Chrome trace JSON.
-func TraceHandler(o *Observer) http.Handler { return server.TraceHandler(o) }
-
-// FlightHandler serves an observer's flight-recorder ring as JSON (the
-// empty dump when recording is disabled).
-func FlightHandler(o *Observer) http.Handler { return server.FlightHandler(o) }
-
-// PprofHandler serves the runtime profiling endpoints under /debug/pprof/
-// on a private mux.
-func PprofHandler() http.Handler { return server.PprofHandler() }
-
-// DefaultWatchdogRules is the anomaly rule set a WatchdogDir-configured
-// PlanServer runs with (shed storm, queue saturation, epoch-time
-// regression).
-func DefaultWatchdogRules(cfg PlanServerConfig) []WatchdogRule {
-	return server.DefaultWatchdogRules(cfg)
-}
 
 // ObsMux bundles /metrics, /debug/trace, /debug/flight, /debug/pprof/ and
 // /healthz for processes that want exposition without the planning service

@@ -34,7 +34,7 @@ type TrainConfig struct {
 	// LocalityTiers and LocalityBias install tier-aware neighbor sampling:
 	// when a neighborhood is over-fanout, each draw prefers (with
 	// probability LocalityBias) the faster-tier of two uniform candidates.
-	// LocalityTiers is a per-vertex storage tier (see LayoutTiers); zero
+	// LocalityTiers is a per-vertex storage tier (0 = GPU, 1 = CPU, 2 = SSD); zero
 	// bias leaves sampling exactly uniform.
 	LocalityTiers []uint8
 	LocalityBias  float64
